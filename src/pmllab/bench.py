@@ -85,7 +85,7 @@ def read_sample_file(path) -> Sample:
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 2 or not parts[0].lstrip("-").isdigit() or not parts[1].isdigit():
+        if len(parts) != 2 or not parts[0].isdigit() or not parts[1].isdigit():
             raise ValueError(f"malformed sample line {ln}: {line!r}")
         sym, mult = int(parts[0]), int(parts[1])
         if sym in counts:
@@ -220,10 +220,9 @@ class ResultRow(NamedTuple):
 def worker_count() -> int:
     env = os.environ.get("PMLLAB_THREADS")
     if env:
-        count = int(env)
-        if count < 1:
-            raise ValueError("PMLLAB_THREADS must be >= 1")
-        return count
+        if not env.strip().isdecimal() or int(env) < 1:
+            raise ValueError(f"PMLLAB_THREADS must be an integer >= 1, got {env!r}")
+        return int(env)
     return min(4, os.cpu_count() or 1)
 
 

@@ -17,6 +17,9 @@ from .properties import plug_in
 from .uniformity import t_pml_test
 
 
+_EM_DEFAULTS = EmConfig()
+
+
 class UsageError(ValueError):
     pass
 
@@ -43,9 +46,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--profile", required=True, help="input profile file")
     p.add_argument("--out", required=True, help="output probability-vector file")
     p.add_argument("--k", type=int, default=None, help="true alphabet size, if known")
-    p.add_argument("--max-support", type=int, default=10000)
-    p.add_argument("--em-iters", type=int, default=30)
-    p.add_argument("--sweeps", type=int, default=30)
+    p.add_argument("--max-support", type=int, default=_EM_DEFAULTS.max_support)
+    p.add_argument("--em-iters", type=int, default=_EM_DEFAULTS.em_iterations)
+    p.add_argument("--sweeps", type=int, default=_EM_DEFAULTS.mcmc_sweeps_per_estep)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("estimate", help="property estimate from a sample file")
@@ -56,9 +59,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=None, help="renyi / power-sum order")
     p.add_argument("--coverage-m", type=int, default=None, help="coverage sample-size parameter")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--em-iters", type=int, default=30)
-    p.add_argument("--sweeps", type=int, default=30)
-    p.add_argument("--max-support", type=int, default=10000)
+    p.add_argument("--em-iters", type=int, default=_EM_DEFAULTS.em_iterations)
+    p.add_argument("--sweeps", type=int, default=_EM_DEFAULTS.mcmc_sweeps_per_estep)
+    p.add_argument("--max-support", type=int, default=_EM_DEFAULTS.max_support)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("test-uniformity", help="run the PML uniformity tester")
@@ -68,8 +71,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--dist", default=None, help="family to simulate when no sample is given")
     p.add_argument("--n", type=int, default=None, help="sample size when simulating")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--em-iters", type=int, default=30)
-    p.add_argument("--sweeps", type=int, default=30)
+    p.add_argument("--em-iters", type=int, default=_EM_DEFAULTS.em_iterations)
+    p.add_argument("--sweeps", type=int, default=_EM_DEFAULTS.mcmc_sweeps_per_estep)
 
     p = sub.add_parser("bench", help="run an experiment grid from a config file")
     p.add_argument("--config", required=True)
@@ -78,6 +81,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-seconds", type=float, default=None,
                    help="abort grid cells starting after this budget")
     return parser
+
+
+def _em_config(args, seed: RngSeed) -> EmConfig:
+    """EM settings from the flags (test-uniformity has no --max-support)."""
+    return EmConfig(
+        em_iterations=args.em_iters,
+        max_support=getattr(args, "max_support", _EM_DEFAULTS.max_support),
+        mcmc_sweeps_per_estep=args.sweeps,
+        seed=seed,
+    )
 
 
 def _cmd_sample(args) -> int:
@@ -89,12 +102,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_pml(args) -> int:
     profile = bench.read_profile_file(args.profile)
-    cfg = EmConfig(
-        em_iterations=args.em_iters,
-        max_support=args.max_support,
-        mcmc_sweeps_per_estep=args.sweeps,
-        seed=RngSeed(args.seed),
-    )
+    cfg = _em_config(args, RngSeed(args.seed))
     dist = approximate_pml(sample_of_profile(profile), k_hint=args.k, cfg=cfg)
     bench.write_pml_file(dist, args.out)
     return 0
@@ -102,12 +110,7 @@ def _cmd_pml(args) -> int:
 
 def _cmd_estimate(args) -> int:
     sample = bench.read_sample_file(args.sample)
-    cfg = EmConfig(
-        em_iterations=args.em_iters,
-        max_support=args.max_support,
-        mcmc_sweeps_per_estep=args.sweeps,
-        seed=RngSeed(args.seed),
-    )
+    cfg = _em_config(args, RngSeed(args.seed))
     param = args.coverage_m if args.property == "coverage" else args.alpha
     value = plug_in(sample, args.property, args.estimator, param, k=args.k, cfg=cfg)
     print(f"{value:.17g}")
@@ -121,17 +124,17 @@ def _cmd_test_uniformity(args) -> int:
         if args.dist is None or args.n is None:
             raise UsageError("test-uniformity needs either --sample or both --dist and --n")
         sample = draw_sample(make(args.dist, args.k), args.n, RngSeed(args.seed).derive(1))
-    cfg = EmConfig(
-        em_iterations=args.em_iters,
-        mcmc_sweeps_per_estep=args.sweeps,
-        seed=RngSeed(args.seed).derive(2),
-    )
+    cfg = _em_config(args, RngSeed(args.seed).derive(2))
     pml = approximate_pml(sample, k_hint=args.k, cfg=cfg)
     print(t_pml_test(sample, args.k, args.epsilon, pml))
     return 0
 
 
 def _cmd_bench(args) -> int:
+    try:
+        bench.worker_count()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:

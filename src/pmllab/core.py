@@ -81,6 +81,8 @@ class Sample:
             if m < 1:
                 raise ValueError(f"multiplicity of symbol {sym} must be >= 1, got {mult}")
             clean[int(sym)] = m
+        if clean and min(clean) < 0:
+            raise ValueError(f"symbols must be >= 0, got {min(clean)}")
         object.__setattr__(self, "counts", MappingProxyType(clean))
         object.__setattr__(self, "n", sum(clean.values()))
 

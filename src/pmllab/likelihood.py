@@ -1,8 +1,10 @@
 """Exact profile probabilities and a brute-force PML oracle.
 
-Everything here is desk-scale ground truth: exact computation of the
-probability of observing a given profile, exhaustive enumeration oracles,
-and a grid-search maximizer used to validate the EM solver.
+The probability of observing a given profile comes from a log-space dynamic
+program over the remaining count per multiplicity group, which the exact
+E-step of the EM solver shares. Alongside it are desk-scale ground truths:
+exhaustive enumeration oracles and a grid-search maximizer used to validate
+the EM solver.
 """
 
 from __future__ import annotations
@@ -10,13 +12,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from functools import lru_cache
 
 import numpy as np
 
 from .core import Distribution, Profile
 
 _BRUTE_FORCE_LIMIT = 10**7
+_MAX_DP_STATES = 2**20
 _PARTITION_LIMIT = 40
 _ORACLE_MAX_K = 4
 _ORACLE_MAX_N = 8
@@ -30,45 +32,37 @@ def _partition_coefficient(profile: Profile) -> int:
     return coef
 
 
-def _monomial_sum(probs: tuple[float, ...], mults: tuple[int, ...]) -> float:
-    """Monomial symmetric polynomial of the multiplicity partition.
+def _log_monomial_table(lp: np.ndarray, mults) -> np.ndarray:
+    """Log monomial symmetric polynomials of every sub-multiset of ``mults``.
 
-    Sums prod_j p(sigma(j))^mults[j] over unordered injective assignments of
-    the multiplicity multiset to symbols, by recursion over symbols with
-    memoization on (symbol index, remaining counts per multiplicity group).
+    The table has one axis per distinct multiplicity v_g, in ascending
+    order, of length c_g + 1 where c_g is its count. Entry a is the log of
+    the sum, over the ways to give a_g distinct symbols multiplicity v_g for
+    every g, of prod p(s)^mult(s), with log probabilities ``lp``. One pass
+    over the symbols; each takes at most one multiplicity.
     """
-    groups = tuple(sorted(Counter(mults).items()))
-    vals = tuple(v for v, _ in groups)
-    k = len(probs)
-
-    @lru_cache(maxsize=None)
-    def rec(idx: int, remaining: tuple[int, ...]) -> float:
-        need = sum(remaining)
-        if need == 0:
-            return 1.0
-        if k - idx < need:
-            return 0.0
-        p = probs[idx]
-        acc = rec(idx + 1, remaining)
-        if p > 0.0:
-            for g, cnt in enumerate(remaining):
-                if cnt:
-                    nxt = remaining[:g] + (cnt - 1,) + remaining[g + 1 :]
-                    acc += p ** vals[g] * rec(idx + 1, nxt)
-        return acc
-
-    try:
-        return rec(0, tuple(c for _, c in groups))
-    finally:
-        rec.cache_clear()
+    vals, counts = np.unique(np.asarray(mults), return_counts=True)
+    states = math.prod(int(c) + 1 for c in counts)
+    if states > _MAX_DP_STATES:
+        raise ValueError(f"instance too large: {states} dynamic-program states")
+    table = np.full(tuple(counts + 1), -np.inf)
+    table.flat[0] = 0.0
+    for lps in lp:
+        prev = table.copy()
+        for g, v in enumerate(vals):
+            dst = (slice(None),) * g + (slice(1, None),)
+            src = (slice(None),) * g + (slice(None, -1),)
+            table[dst] = np.logaddexp(table[dst], prev[src] + v * lps)
+    return table
 
 
 def profile_probability(dist: Distribution, profile: Profile) -> float:
     """Probability that an i.i.d. sample of size profile.n from dist has
     exactly this profile.
 
-    Exact up to floating error; factorials are taken as exact integers, so
-    this is meant for desk-scale n (a few hundred at most).
+    Exact up to floating error, in log space throughout, so any n works; the
+    cost grows with the product of (count + 1) over the distinct
+    multiplicities, which is capped at ``_MAX_DP_STATES``.
     """
     mults = profile.multiplicities()
     if len(mults) > dist.k:
@@ -77,7 +71,11 @@ def profile_probability(dist: Distribution, profile: Profile) -> float:
         )
     if not mults:
         return 1.0
-    return float(_partition_coefficient(profile)) * _monomial_sum(dist.probs, mults)
+    log_coef = math.lgamma(profile.n + 1) - sum(
+        phi * math.lgamma(i + 1) for i, phi in profile.prevalences.items()
+    )
+    lp = np.log([p for p in dist.probs if p > 0.0])
+    return math.exp(log_coef + _log_monomial_table(lp, mults).flat[-1])
 
 
 def profile_probability_bruteforce(dist: Distribution, profile: Profile) -> float:
@@ -141,7 +139,7 @@ def _profile_prob_batch(points: np.ndarray, profile: Profile) -> np.ndarray:
 
     Expands the monomial symmetric polynomial in power sums via the Moebius
     function of the partition lattice, which vectorizes over the grid. An
-    independent route from the memoized recursion in
+    independent route from the dynamic program in
     :func:`profile_probability`.
     """
     mults = profile.multiplicities()

@@ -6,15 +6,15 @@ empirical estimates, pick an output support size for the remainder, run EM
 on the remaining profile, then reassemble and renormalize.
 
 The EM treats the injective assignment of observed distinct symbols to
-output support points as the latent variable. The E-step is exact (full
-enumeration of assignments) on small instances and Metropolis-sampled with
-pairwise swap proposals at scale; the M-step reweights each support point
-by its expected assigned multiplicity mass.
+output support points as the latent variable. The E-step is exact on small
+instances (the log-space dynamic program of the profile likelihood, run once
+per left-out support point) and Metropolis-sampled with pairwise swap
+proposals at scale; the M-step reweights each support point by its expected
+assigned multiplicity mass.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -24,9 +24,9 @@ import numpy as np
 
 from .core import Distribution, Profile, Sample, profile_of
 from .distributions import RngSeed
-from .likelihood import profile_probability
+from .likelihood import _log_monomial_table, profile_probability
 
-#: Enumerate assignments exactly up to these sizes, sample beyond them.
+#: Take the E-step exactly up to these sizes, sample beyond them.
 _EXACT_M_LIMIT = 8
 _EXACT_K_LIMIT = 10
 
@@ -153,25 +153,25 @@ def _empirical_start(mults: np.ndarray, K: int) -> np.ndarray:
 
 
 def _exact_estep_mass(q: np.ndarray, mults: np.ndarray, K: int) -> np.ndarray:
-    """Expected multiplicity mass per support point, by full enumeration of
-    injective assignments."""
+    """Expected multiplicity mass per support point, exactly.
+
+    Point s hosts a symbol of multiplicity v with probability q_s^v times
+    the monomial sum of the rest of the multiset over the other points,
+    divided by the monomial sum of the whole multiset over all points.
+    """
     lq = np.log(np.maximum(q, _LOG_FLOOR))
-    m = len(mults)
-    logw = np.fromiter(
-        (sum(mults[j] * lq[s] for j, s in enumerate(perm))
-         for perm in itertools.permutations(range(K), m)),
-        dtype=float,
-    )
-    weights = np.exp(logw - logw.max())
-    mass = np.zeros(K)
-    for w, perm in zip(weights, itertools.permutations(range(K), m)):
-        if w == 0.0:
-            continue
-        for j, s in enumerate(perm):
-            mass[s] += w * mults[j]
-    return mass / weights.sum()
+    vals, counts = np.unique(mults, return_counts=True)
+    # index of the sub-count vector c - e_g, for every group g
+    drop = tuple((counts - np.eye(len(vals), dtype=int)).T)
+    total = _log_monomial_table(lq, mults).flat[-1]
+    mass = np.empty(K)
+    for s in range(K):
+        rest = _log_monomial_table(np.delete(lq, s), mults)[drop]
+        mass[s] = vals @ np.exp(vals * lq[s] + rest - total)
+    return mass
 
 
+@np.errstate(divide="ignore")  # np.log of a uniform draw of exactly 0.0
 def _mcmc_estep_mass(
     q: np.ndarray,
     mults: np.ndarray,
@@ -203,8 +203,7 @@ def _mcmc_estep_mass(
             j1 = perm[:npairs]
             j2 = perm[npairs : 2 * npairs]
             delta = (mults[j1] - mults[j2]) * (lq[sigma[j2]] - lq[sigma[j1]])
-            with np.errstate(divide="ignore"):
-                accept = np.log(gen.random(npairs)) < delta
+            accept = np.log(gen.random(npairs)) < delta
             a1 = j1[accept]
             a2 = j2[accept]
             swapped = sigma[a1].copy()
@@ -216,8 +215,7 @@ def _mcmc_estep_mass(
             movers = gen.permutation(m)[:nmoves]
             slots = gen.permutation(free)[:nmoves]
             delta = mults[movers] * (lq[unassigned[slots]] - lq[sigma[movers]])
-            with np.errstate(divide="ignore"):
-                accept = np.log(gen.random(nmoves)) < delta
+            accept = np.log(gen.random(nmoves)) < delta
             mv = movers[accept]
             sl = slots[accept]
             vacated = sigma[mv].copy()

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from pmllab import Distribution, RngSeed, Sample, make
+from pmllab import Distribution, EmConfig, RngSeed, Sample, make
 from pmllab.bench import (
     ExperimentConfig,
     parse_config,
@@ -17,7 +17,7 @@ from pmllab.bench import (
     write_sample_file,
     write_svg_charts,
 )
-from pmllab.cli import main
+from pmllab.cli import _build_parser, _em_config, main
 
 
 class TestProfileFile:
@@ -91,6 +91,12 @@ class TestSampleFile:
     def test_malformed(self, tmp_path):
         path = tmp_path / "sample.txt"
         path.write_text("0 x\n")
+        with pytest.raises(ValueError):
+            read_sample_file(path)
+
+    def test_negative_symbol_rejected(self, tmp_path):
+        path = tmp_path / "sample.txt"
+        path.write_text("-1 3\n0 2\n")
         with pytest.raises(ValueError):
             read_sample_file(path)
 
@@ -238,6 +244,21 @@ class TestWorkerCount:
         with pytest.raises(ValueError):
             worker_count()
 
+    def test_non_integer_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("PMLLAB_THREADS", "abc")
+        with pytest.raises(ValueError, match="PMLLAB_THREADS"):
+            worker_count()
+
+    def test_bad_value_is_cli_usage_error(self, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "grid.cfg"
+        config.write_text(
+            "task = entropy\ndistributions = uniform\nk = 10\nn_grid = 40\n"
+            "trials = 1\nestimators = empirical\n"
+        )
+        monkeypatch.setenv("PMLLAB_THREADS", "abc")
+        assert main(["bench", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert "PMLLAB_THREADS" in capsys.readouterr().err
+
 
 class TestCli:
     def test_usage_error_exit_code(self, capsys):
@@ -292,6 +313,16 @@ class TestCli:
             assert main(["bench", "--config", str(config), "--out", str(out), "--svg"]) == 0
         assert (out1 / "entropy.csv").read_bytes() == (out2 / "entropy.csv").read_bytes()
         assert (out1 / "entropy_uniform.svg").read_bytes() == (out2 / "entropy_uniform.svg").read_bytes()
+
+    def test_em_defaults_match_library(self):
+        lib = EmConfig()
+        assert _em_config(_build_parser().parse_args(
+            ["test-uniformity", "--k", "5", "--epsilon", "0.5"]), lib.seed) == lib
+        for argv in (["pml", "--profile", "p", "--out", "o"],
+                     ["estimate", "--sample", "s", "--property", "entropy"]):
+            args = _build_parser().parse_args(argv)
+            assert args.sweeps == lib.mcmc_sweeps_per_estep
+            assert _em_config(args, lib.seed) == lib
 
     def test_bench_bad_config_is_usage_error(self, tmp_path):
         config = tmp_path / "grid.cfg"

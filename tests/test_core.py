@@ -88,6 +88,10 @@ class TestSampleAndProfile:
         with pytest.raises(ValueError):
             Sample({0: 0})
 
+    def test_sample_rejects_negative_symbol(self):
+        with pytest.raises(ValueError):
+            Sample({-1: 3, 0: 2})
+
     def test_profile_rejects_inconsistent_n(self):
         with pytest.raises(ValueError):
             Profile({1: 2}, n=3)

@@ -9,10 +9,11 @@ from pmllab import (
     Profile,
     enumerate_profiles,
     exact_pml_oracle,
+    make,
     profile_probability,
     profile_probability_bruteforce,
 )
-from pmllab.likelihood import _profile_prob_batch
+from pmllab.likelihood import _MAX_DP_STATES, _profile_prob_batch
 
 
 def random_distribution(rng, k):
@@ -45,6 +46,16 @@ class TestProfileProbability:
     def test_zero_probability_symbol(self):
         d = Distribution([1.0, 0.0])
         assert profile_probability(d, Profile({1: 2})) == 0.0
+
+    def test_large_alphabet_two_singletons(self):
+        got = profile_probability(make("uniform", 2000), Profile({1: 2}))
+        assert got == pytest.approx(1.0 - 1.0 / 2000, rel=1e-12)
+
+    def test_state_bound(self):
+        # one group per distinct multiplicity, two states each
+        prof = Profile.from_multiplicities(range(1, _MAX_DP_STATES.bit_length() + 1))
+        with pytest.raises(ValueError):
+            profile_probability(make("uniform", prof.m), prof)
 
     def test_infeasible_alphabet(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from pmllab import (
@@ -21,6 +23,7 @@ from pmllab import (
     sorted_l1,
     split_large,
 )
+from pmllab.pml_em import _exact_estep_mass
 
 
 class TestEmConfig:
@@ -152,6 +155,32 @@ class TestEmPml:
             _, trace = em_pml_trace(prof, K, EmConfig(em_iterations=40))
             for a, b in zip(trace, trace[1:]):
                 assert b >= a - 1e-12
+
+    def test_exact_estep_matches_permutation_oracle(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            K = int(rng.integers(1, 9))
+            m = int(rng.integers(1, min(K, 6) + 1))
+            mults = np.sort(rng.integers(1, 6, m))[::-1].astype(float)
+            q = rng.dirichlet(np.ones(K))
+            perms = list(itertools.permutations(range(K), m))
+            logw = np.array([sum(mults[j] * math.log(q[s]) for j, s in enumerate(p))
+                             for p in perms])
+            w = np.exp(logw - logw.max())
+            want = np.zeros(K)
+            for wi, p in zip(w, perms):
+                want[list(p)] += wi * mults
+            want /= w.sum()
+            got = _exact_estep_mass(q, mults, K)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            assert got.sum() == pytest.approx(mults.sum(), rel=1e-12)
+
+    def test_trace_at_large_n(self):
+        # m=10 takes the sampled E-step, monotone only in expectation
+        _, trace = em_pml_trace(Profile({300: 10}), 10, EmConfig(em_iterations=3))
+        assert all(math.isfinite(v) and v > 0.0 for v in trace)
+        for a, b in zip(trace, trace[1:]):
+            assert b >= a * (1.0 - 1e-9)
 
     def test_exact_path_beta_approximates_oracle(self):
         cfg = EmConfig(em_iterations=300)
