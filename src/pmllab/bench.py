@@ -1,16 +1,13 @@
 """Experiment harness: on-disk formats, grid runner, CSV and SVG reports.
 
 All randomness flows from the configured seed through per-cell, per-trial
-derived seeds, so reruns are bit-identical regardless of scheduling. The
-environment variable PMLLAB_THREADS caps trial parallelism.
+derived seeds, so reruns are bit-identical. Trials run one at a time.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -113,9 +110,9 @@ class ExperimentConfig:
     epsilon: float | None = None
     estimators: tuple[str, ...] = ("pml", "empirical")
     max_seconds: float | None = None
-    em_iterations: int = 30
-    mcmc_sweeps: int = 60
-    max_support: int = 10000
+    em_iterations: int = EmConfig.em_iterations
+    mcmc_sweeps: int = EmConfig.mcmc_sweeps_per_estep
+    max_support: int = EmConfig.max_support
 
     def __post_init__(self):
         if isinstance(self.seed, int):
@@ -199,8 +196,6 @@ def parse_config(text: str) -> ExperimentConfig:
             kwargs[key] = tuple(int(tok) for tok in value.split(",") if tok.strip())
         else:
             kwargs[key] = conv(value)
-    if "seed" in kwargs:
-        kwargs["seed"] = RngSeed(kwargs["seed"])
     return ExperimentConfig(**kwargs)
 
 
@@ -218,12 +213,9 @@ class ResultRow(NamedTuple):
 
 
 def worker_count() -> int:
-    env = os.environ.get("PMLLAB_THREADS")
-    if env:
-        if not env.strip().isdecimal() or int(env) < 1:
-            raise ValueError(f"PMLLAB_THREADS must be an integer >= 1, got {env!r}")
-        return int(env)
-    return min(4, os.cpu_count() or 1)
+    """Trials run one at a time. Kept for the environment block of
+    perfbench/run.py, its only caller."""
+    return 1
 
 
 def _estimate_dist(cfg: ExperimentConfig, est: str, sample: Sample, big: Sample | None,
@@ -298,7 +290,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """
     started = time.monotonic()
     rows: list[ResultRow] = []
-    workers = worker_count()
     for d_ix, dist_name in enumerate(cfg.distributions):
         truth = make(dist_name, cfg.k)
         for n_ix, n in enumerate(cfg.n_grid):
@@ -306,15 +297,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                 for est in cfg.estimators:
                     rows.append(ResultRow(dist_name, n, est, math.nan, math.nan, 0))
                 continue
-
-            def one_trial(trial: int) -> dict[str, float]:
-                return _trial_errors(cfg, truth, dist_name, n, cfg.seed.derive(d_ix, n_ix, trial))
-
-            if workers > 1 and cfg.trials > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    per_trial = list(pool.map(one_trial, range(cfg.trials)))
-            else:
-                per_trial = [one_trial(t) for t in range(cfg.trials)]
+            per_trial = [
+                _trial_errors(cfg, truth, dist_name, n, cfg.seed.derive(d_ix, n_ix, t))
+                for t in range(cfg.trials)
+            ]
             for est in cfg.estimators:
                 mean, std = _mean_std([errs[est] for errs in per_trial])
                 rows.append(ResultRow(dist_name, n, est, mean, std, cfg.trials))

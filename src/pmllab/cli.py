@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 on usage errors (bad flags, malformed config),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -132,10 +133,6 @@ def _cmd_test_uniformity(args) -> int:
 
 def _cmd_bench(args) -> int:
     try:
-        bench.worker_count()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read config: {exc}") from exc
@@ -144,9 +141,7 @@ def _cmd_bench(args) -> int:
     except (ValueError, TypeError) as exc:
         raise UsageError(f"bad config: {exc}") from exc
     if args.max_seconds is not None:
-        cfg = bench.ExperimentConfig(
-            **{**{f: getattr(cfg, f) for f in cfg.__dataclass_fields__}, "max_seconds": args.max_seconds}
-        )
+        cfg = dataclasses.replace(cfg, max_seconds=args.max_seconds)
     rows = bench.run_experiment(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -9,7 +9,6 @@ and pads the tail to restore unit mass.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -18,8 +17,6 @@ import numpy as np
 from .core import Distribution, Sample, profile_of
 from .pml_em import EmConfig, approximate_pml, em_pml, estimate_support
 from .properties import missing_mass_estimate
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -184,10 +181,10 @@ def tpml_distribution(
     Runs EM on the profile of symbols with multiplicity at most
     floor(alpha_n), scaled to the mass those symbols carry; symbols with
     multiplicity above beta_n keep their empirical frequencies (the thin
-    band in between is dropped). Entries of value gamma_n are appended
-    while the total is below 1, the largest entry not exceeding gamma_n is
-    removed while the total is above 1, and one final entry restores the
-    total to exactly 1.
+    band in between is dropped), so beta_n must be at least alpha_n.
+    Entries of value gamma_n are appended while the total is below 1, the
+    last one is dropped if it overshoots 1, and one final entry restores
+    the total to exactly 1.
     """
     cfg = cfg or EmConfig()
     n = sample.n
@@ -196,6 +193,9 @@ def tpml_distribution(
     alpha_n, beta_n, gamma_n = thresholds or default_tpml_thresholds(n)
     if alpha_n < 1:
         raise ValueError("truncation threshold must be >= 1")
+    if beta_n < alpha_n:
+        # a symbol with beta_n < c <= alpha_n would count in both parts
+        raise ValueError(f"beta_n ({beta_n}) must be >= alpha_n ({alpha_n})")
     if gamma_n <= 0:
         raise ValueError("padding value must be positive")
     t = math.floor(alpha_n)
@@ -217,15 +217,10 @@ def tpml_distribution(
     while total < 1.0 - 1e-12:
         entries.append(gamma_n)
         total += gamma_n
-    while total > 1.0 + 1e-12:
-        eligible = [v for v in entries if v <= gamma_n + 1e-15]
-        if eligible:
-            entries.remove(max(eligible))
-        else:
-            # nothing small enough to drop; shrink the largest entry instead
-            log.info("tpml: no entry <= gamma_n to remove, shrinking the largest")
-            worst = max(range(len(entries)), key=lambda ix: entries[ix])
-            entries[worst] -= total - 1.0
+    if total > 1.0 + 1e-12:
+        # the two parts hold disjoint symbols, so their total is at most 1
+        # and only the last pad can overshoot
+        entries.pop()
         total = math.fsum(entries)
     leftover = 1.0 - total
     if leftover > 1e-15:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +11,6 @@ from pmllab.bench import (
     read_profile_file,
     read_sample_file,
     run_experiment,
-    worker_count,
     write_csv,
     write_pml_file,
     write_profile_file,
@@ -18,6 +18,8 @@ from pmllab.bench import (
     write_svg_charts,
 )
 from pmllab.cli import _build_parser, _em_config, main
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
 
 class TestProfileFile:
@@ -121,6 +123,15 @@ class TestConfig:
         assert cfg.distributions == ("uniform", "zipf")
         assert cfg.n_grid == (500, 1000)
         assert cfg.seed == RngSeed(7)
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_parses(self, path):
+        parse_config(path.read_text(encoding="utf-8"))
+
+    def test_em_defaults_match_library(self):
+        cfg = ExperimentConfig(task="entropy", distributions=("uniform",), k=10, n_grid=(100,))
+        seed = RngSeed(4)
+        assert cfg.em_config(seed) == EmConfig(seed=seed)
 
     def test_unknown_key(self):
         with pytest.raises(ValueError):
@@ -234,30 +245,6 @@ class TestReports:
         text = paths[0].read_text()
         assert text.startswith("<svg")
         assert "polyline" in text
-
-
-class TestWorkerCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("PMLLAB_THREADS", "2")
-        assert worker_count() == 2
-        monkeypatch.setenv("PMLLAB_THREADS", "0")
-        with pytest.raises(ValueError):
-            worker_count()
-
-    def test_non_integer_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("PMLLAB_THREADS", "abc")
-        with pytest.raises(ValueError, match="PMLLAB_THREADS"):
-            worker_count()
-
-    def test_bad_value_is_cli_usage_error(self, tmp_path, monkeypatch, capsys):
-        config = tmp_path / "grid.cfg"
-        config.write_text(
-            "task = entropy\ndistributions = uniform\nk = 10\nn_grid = 40\n"
-            "trials = 1\nestimators = empirical\n"
-        )
-        monkeypatch.setenv("PMLLAB_THREADS", "abc")
-        assert main(["bench", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
-        assert "PMLLAB_THREADS" in capsys.readouterr().err
 
 
 class TestCli:

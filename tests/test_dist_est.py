@@ -182,6 +182,12 @@ class TestTpmlDistribution:
         with pytest.raises(ValueError):
             tpml_distribution(Sample({0: 5, 1: 5}), (0.5, 1.0, 0.1))
 
+    def test_rejects_patch_threshold_below_truncation(self):
+        # the two 3-count symbols would be both light (3 <= 3) and heavy (3 > 2)
+        sample = Sample({i: 1 for i in range(40)} | {100: 3, 101: 3})
+        with pytest.raises(ValueError, match="beta_n"):
+            tpml_distribution(sample, (3.0, 2.0, 0.01))
+
     def test_truncated_likelihood_against_enumeration(self):
         # at n = 6 the extensions of a truncated profile are enumerable, so
         # the heavy-residual surrogate can be scored exactly
