@@ -19,7 +19,6 @@ from .core import (
     wasserstein1_multiset,
 )
 from .dist_est import (
-    DenoiseConfig,
     default_tpml_thresholds,
     denoise,
     estimate_unsorted_l1,
@@ -69,7 +68,6 @@ from .uniformity import t_pml_test
 __version__ = "0.1.0"
 
 __all__ = [
-    "DenoiseConfig",
     "Distribution",
     "EmConfig",
     "FAMILIES",

@@ -24,7 +24,7 @@ ESTIMATORS = ("pml", "empirical", "empirical_nlogn", "tpml")
 
 CSV_HEADER = "distribution,n,estimator,mean_error,std_error,trials"
 
-_PROPERTY_TASKS = {"entropy": "entropy", "renyi": "renyi", "support": "support", "coverage": "coverage"}
+_PROPERTY_TASKS = ("entropy", "renyi", "support", "coverage")
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +112,6 @@ class ExperimentConfig:
     max_seconds: float | None = None
     em_iterations: int = EmConfig.em_iterations
     mcmc_sweeps: int = EmConfig.mcmc_sweeps_per_estep
-    max_support: int = EmConfig.max_support
 
     def __post_init__(self):
         if isinstance(self.seed, int):
@@ -153,7 +152,6 @@ class ExperimentConfig:
     def em_config(self, seed: RngSeed) -> EmConfig:
         return EmConfig(
             em_iterations=self.em_iterations,
-            max_support=self.max_support,
             mcmc_sweeps_per_estep=self.mcmc_sweeps,
             seed=seed,
         )
@@ -173,8 +171,9 @@ _CONFIG_KEYS = {
     "max_seconds": float,
     "em_iterations": int,
     "mcmc_sweeps": int,
-    "max_support": int,
 }
+
+_REQUIRED_KEYS = ("task", "distributions", "k", "n_grid")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -196,6 +195,9 @@ def parse_config(text: str) -> ExperimentConfig:
             kwargs[key] = tuple(int(tok) for tok in value.split(",") if tok.strip())
         else:
             kwargs[key] = conv(value)
+    missing = [key for key in _REQUIRED_KEYS if key not in kwargs]
+    if missing:
+        raise ValueError(f"config lacks required key(s): {', '.join(missing)}")
     return ExperimentConfig(**kwargs)
 
 
@@ -261,7 +263,7 @@ def _trial_errors(cfg: ExperimentConfig, truth: Distribution, dist_name: str,
         param = cfg.coverage_m
     target = None
     if cfg.task in _PROPERTY_TASKS:
-        target = property_value(truth, _PROPERTY_TASKS[cfg.task], param)
+        target = property_value(truth, cfg.task, param)
 
     for est in cfg.estimators:
         est_dist = _estimate_dist(cfg, est, sample, big, em_cfg)
@@ -270,7 +272,7 @@ def _trial_errors(cfg: ExperimentConfig, truth: Distribution, dist_name: str,
         elif cfg.task == "sorted_l1":
             out[est] = sorted_l1(est_dist, truth)
         else:
-            out[est] = abs(property_value(est_dist, _PROPERTY_TASKS[cfg.task], param) - target)
+            out[est] = abs(property_value(est_dist, cfg.task, param) - target)
     return out
 
 

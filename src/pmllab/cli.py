@@ -1,7 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 on success, 1 on usage errors (bad flags, malformed config),
-2 on runtime failures.
+Exit codes: 0 on success; 1 on invalid input (bad flags, and any
+ValueError, which covers malformed sample, profile and config files);
+2 on runtime failures, including missing or unreadable files.
 """
 
 from __future__ import annotations
@@ -14,15 +15,11 @@ from pathlib import Path
 from . import bench
 from .distributions import RngSeed, draw_sample, make
 from .pml_em import EmConfig, approximate_pml, sample_of_profile
-from .properties import plug_in
+from .properties import PROPERTY_TAGS, plug_in
 from .uniformity import t_pml_test
 
 
 _EM_DEFAULTS = EmConfig()
-
-
-class UsageError(ValueError):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,8 +51,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("estimate", help="property estimate from a sample file")
     p.add_argument("--sample", required=True, help="input sample file")
-    p.add_argument("--property", required=True,
-                   choices=["entropy", "renyi", "support", "coverage", "dist_uniform", "power_sum"])
+    p.add_argument("--property", required=True, choices=PROPERTY_TAGS)
     p.add_argument("--estimator", default="empirical", choices=["empirical", "pml", "tpml"])
     p.add_argument("--alpha", type=float, default=None, help="renyi / power-sum order")
     p.add_argument("--coverage-m", type=int, default=None, help="coverage sample-size parameter")
@@ -123,7 +119,7 @@ def _cmd_test_uniformity(args) -> int:
         sample = bench.read_sample_file(args.sample)
     else:
         if args.dist is None or args.n is None:
-            raise UsageError("test-uniformity needs either --sample or both --dist and --n")
+            raise ValueError("test-uniformity needs either --sample or both --dist and --n")
         sample = draw_sample(make(args.dist, args.k), args.n, RngSeed(args.seed).derive(1))
     cfg = _em_config(args, RngSeed(args.seed).derive(2))
     pml = approximate_pml(sample, k_hint=args.k, cfg=cfg)
@@ -132,14 +128,7 @@ def _cmd_test_uniformity(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read config: {exc}") from exc
-    try:
-        cfg = bench.parse_config(text)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"bad config: {exc}") from exc
+    cfg = bench.parse_config(Path(args.config).read_text(encoding="utf-8"))
     if args.max_seconds is not None:
         cfg = dataclasses.replace(cfg, max_seconds=args.max_seconds)
     rows = bench.run_experiment(cfg)
@@ -164,7 +153,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"pmllab: error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -25,18 +25,27 @@ PROB_TOL = 1e-9
 _MASS_DUST = 1e-15
 
 
+def _integer(x, what: str) -> int:
+    """``x`` as an int. Integral floats and NumPy integers pass; a fraction,
+    NaN or infinity is a ValueError rather than a silent truncation."""
+    if type(x) is int:
+        return x
+    try:
+        v = int(x)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
+    if v != x:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class Distribution:
-    """A finite discrete probability mass function over symbols ``0..k-1``.
-
-    ``min_prob`` optionally enforces a floor on the nonzero entries, the
-    class of distributions whose support probabilities are at least that
-    value (zeros stay allowed).
-    """
+    """A finite discrete probability mass function over symbols ``0..k-1``."""
 
     probs: tuple[float, ...]
 
-    def __init__(self, probs: Iterable[float], min_prob: float = 0.0):
+    def __init__(self, probs: Iterable[float]):
         vals = [float(v) for v in probs]
         if not vals:
             raise ValueError("a distribution needs at least one entry")
@@ -46,12 +55,11 @@ class Distribution:
         if lo < 0.0:
             vals = [v if v > 0.0 else 0.0 for v in vals]
         total = math.fsum(vals)
-        if abs(total - 1.0) > PROB_TOL:
+        # written so that a NaN total (any NaN entry) fails it too
+        if not abs(total - 1.0) <= PROB_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
         if total != 1.0:
             vals = [v / total for v in vals]
-        if min_prob > 0.0 and any(0.0 < v < min_prob - 1e-12 for v in vals):
-            raise ValueError(f"nonzero entries must be >= {min_prob}")
         object.__setattr__(self, "probs", tuple(vals))
 
     @property
@@ -77,10 +85,10 @@ class Sample:
     def __init__(self, counts: Mapping[int, int]):
         clean: dict[int, int] = {}
         for sym, mult in counts.items():
-            m = int(mult)
+            m = _integer(mult, "multiplicity")
             if m < 1:
                 raise ValueError(f"multiplicity of symbol {sym} must be >= 1, got {mult}")
-            clean[int(sym)] = m
+            clean[_integer(sym, "symbol")] = m
         if clean and min(clean) < 0:
             raise ValueError(f"symbols must be >= 0, got {min(clean)}")
         object.__setattr__(self, "counts", MappingProxyType(clean))
@@ -114,7 +122,7 @@ class Profile:
     def __init__(self, prevalences: Mapping[int, int], n: int | None = None):
         clean: dict[int, int] = {}
         for i, phi in prevalences.items():
-            ii, cc = int(i), int(phi)
+            ii, cc = _integer(i, "multiplicity index"), _integer(phi, "prevalence")
             if ii < 1:
                 raise ValueError(f"multiplicity index must be >= 1, got {i}")
             if cc < 0:
@@ -122,12 +130,10 @@ class Profile:
             if cc:
                 clean[ii] = cc
         mass = sum(i * c for i, c in clean.items())
-        if n is None:
-            n = mass
-        elif int(n) != mass:
+        if n is not None and _integer(n, "sample size n") != mass:
             raise ValueError(f"sum of i * phi_i is {mass}, inconsistent with n={n}")
         object.__setattr__(self, "prevalences", MappingProxyType(clean))
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", mass)
 
     def __eq__(self, other):
         if not isinstance(other, Profile):

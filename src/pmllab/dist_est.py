@@ -10,7 +10,6 @@ and pads the tail to restore unit mass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,36 +18,9 @@ from .pml_em import EmConfig, approximate_pml, em_pml, estimate_support
 from .properties import missing_mass_estimate
 
 
-@dataclass(frozen=True)
-class DenoiseConfig:
-    """Overrides for the denoising schedule; None means the n-dependent default.
-
-    Defaults: remove 1/ln(n)^2 of probability mass, augment with candidate
-    values j/n for j up to ln(n)^2 (n / (j ln(n)^4) copies each, rounded),
-    and assign multiplicities of at least ln(n)^2 empirically.
-    """
-
-    mass_to_remove: float | None = None
-    augment_horizon: int | None = None
-    empirical_cutoff: float | None = None
-
-    def __post_init__(self):
-        if self.mass_to_remove is not None and not 0.0 < self.mass_to_remove < 1.0:
-            raise ValueError("mass_to_remove must lie in (0, 1)")
-        if self.augment_horizon is not None and self.augment_horizon < 0:
-            raise ValueError("augment_horizon must be >= 0")
-
-    def resolved(self, n: int) -> tuple[float, int, float]:
-        ln2 = math.log(n) ** 2
-        # the 1/ln(n)^2 default exceeds 1 only at n = 2; cap it there
-        mass = self.mass_to_remove if self.mass_to_remove is not None else min(1.0 / ln2, 0.999999)
-        horizon = self.augment_horizon if self.augment_horizon is not None else math.ceil(ln2)
-        cutoff = self.empirical_cutoff if self.empirical_cutoff is not None else ln2
-        return mass, horizon, cutoff
-
-    @staticmethod
-    def augment_count(j: int, n: int) -> int:
-        return max(0, round(n / (j * math.log(n) ** 4)))
+def _augment_count(j: int, n: int) -> int:
+    """Copies of the candidate value j/n added to the denoising pool."""
+    return max(0, round(n / (j * math.log(n) ** 4)))
 
 
 def weighted_median(values, weights) -> float:
@@ -71,22 +43,21 @@ def weighted_median(values, weights) -> float:
     return float(v[order][idx])
 
 
-def denoise(
-    pml_vector: Distribution,
-    sample: Sample,
-    cfg: DenoiseConfig | None = None,
-) -> dict[int, float]:
+def denoise(pml_vector: Distribution, sample: Sample) -> dict[int, float]:
     """Per-symbol probability assignment from a PML multiset estimate.
 
-    (i) removes the configured mass from the largest pool entries first,
-    (ii) augments the pool with small candidate values j/n, (iii) assigns
-    each observed symbol either its empirical frequency (frequent symbols)
-    or the binomial-likelihood weighted median of the pool. The output is
-    one value per observed symbol, not yet normalized.
+    (i) removes 1/ln(n)^2 of probability mass from the largest pool entries
+    first, (ii) augments the pool with candidate values j/n for j up to
+    ln(n)^2 (n / (j ln(n)^4) copies each, rounded), (iii) assigns each
+    observed symbol either its empirical frequency (multiplicity at least
+    ln(n)^2) or the binomial-likelihood weighted median of the pool. The
+    output is one value per observed symbol, not yet normalized.
     """
-    cfg = cfg or DenoiseConfig()
     n = sample.n
-    mass_out, horizon, cutoff = cfg.resolved(n)
+    cutoff = math.log(n) ** 2
+    # the 1/ln(n)^2 mass exceeds 1 only at n = 2; cap it there
+    mass_out = min(1.0 / cutoff, 0.999999)
+    horizon = math.ceil(cutoff)
 
     pool = sorted(pml_vector.probs, reverse=True)
     remaining = min(mass_out, math.fsum(pool))
@@ -97,7 +68,7 @@ def denoise(
         remaining -= take
         i += 1
     for j in range(1, horizon + 1):
-        pool.extend([j / n] * cfg.augment_count(j, n))
+        pool.extend([j / n] * _augment_count(j, n))
 
     arr = np.asarray(pool)
     neg_inf = np.full(arr.shape, -np.inf)
@@ -122,38 +93,34 @@ def denoise(
 
 def estimate_unsorted_l1(
     sample: Sample,
-    alphabet=None,
+    alphabet: int | None = None,
     cfg: EmConfig | None = None,
-    denoise_cfg: DenoiseConfig | None = None,
 ) -> Distribution:
     """Distribution estimate under plain l1: PML, denoise, then equal-split
     missing mass over unseen symbols.
 
-    ``alphabet`` is an alphabet size (int) or an iterable of symbol ids;
-    when given, every unseen symbol receives missing_mass / #unseen and the
-    observed block is scaled to the complementary mass, so the total is
-    exactly 1. Without it, the observed assignments are simply normalized.
+    ``alphabet`` is the alphabet size; when given, every unseen symbol of
+    ``0..alphabet-1`` receives missing_mass / #unseen and the observed block
+    is scaled to the complementary mass, so the total is exactly 1. Without
+    it, the observed assignments are simply normalized.
     """
     cfg = cfg or EmConfig()
     if sample.n < 2:
         raise ValueError("need at least two draws")
-    symbols = None
-    if alphabet is not None:
-        symbols = list(range(int(alphabet))) if isinstance(alphabet, int) else sorted(alphabet)
-        if not set(sample.counts) <= set(symbols):
-            raise ValueError("alphabet smaller than the observed support")
-    k_hint = len(symbols) if symbols is not None else None
-    pml = approximate_pml(sample, k_hint=k_hint, cfg=cfg)
-    assigned = denoise(pml, sample, denoise_cfg)
-    if symbols is None:
+    if alphabet is not None and max(sample.counts) >= alphabet:
+        raise ValueError("alphabet smaller than the observed support")
+    pml = approximate_pml(sample, k_hint=alphabet, cfg=cfg)
+    assigned = denoise(pml, sample)
+    if alphabet is None:
         total = math.fsum(assigned.values())
         return Distribution([assigned[s] / total for s in sorted(assigned)])
-    unseen = [s for s in symbols if s not in assigned]
+    symbols = range(alphabet)
+    unseen = alphabet - len(assigned)
     if not unseen:
         total = math.fsum(assigned.values())
         return Distribution([assigned[s] / total for s in symbols])
     miss = missing_mass_estimate(sample)
-    share = miss / len(unseen)
+    share = miss / unseen
     seen_total = math.fsum(assigned.values())
     scale = (1.0 - miss) / seen_total
     return Distribution([assigned[s] * scale if s in assigned else share for s in symbols])

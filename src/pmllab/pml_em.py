@@ -37,6 +37,9 @@ _INIT_TILT = 1e-3
 
 _LOG_FLOOR = 1e-300
 
+#: Symbols with multiplicity at least this times ln(n)^2 count as frequent.
+_TAU_MULTIPLIER = 1.5
+
 
 @dataclass(frozen=True)
 class EmConfig:
@@ -45,7 +48,6 @@ class EmConfig:
     em_iterations: int = 30
     max_support: int = 10000
     mcmc_sweeps_per_estep: int = 60
-    tau_multiplier: float = 1.5
     seed: RngSeed = field(default_factory=RngSeed)
 
     def __post_init__(self):
@@ -57,12 +59,10 @@ class EmConfig:
             raise ValueError("max_support must be >= 1")
         if self.mcmc_sweeps_per_estep < 1:
             raise ValueError("mcmc_sweeps_per_estep must be >= 1")
-        if self.tau_multiplier <= 0.0:
-            raise ValueError("tau_multiplier must be positive")
 
     def split_threshold(self, n: int) -> float:
         """Multiplicity threshold for the frequent-symbol split (natural log)."""
-        return self.tau_multiplier * math.log(n) ** 2
+        return _TAU_MULTIPLIER * math.log(n) ** 2
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class SplitResult:
 
 
 def split_large(sample: Sample, cfg: EmConfig | None = None) -> SplitResult:
-    """Move symbols with multiplicity >= tau_multiplier * ln(n)^2 to
+    """Move symbols with multiplicity >= 1.5 * ln(n)^2 to
     empirical estimates and keep the rest."""
     cfg = cfg or EmConfig()
     if sample.n < 2:

@@ -78,7 +78,6 @@ def plug_in(
     *,
     k: int | None = None,
     cfg=None,
-    thresholds=None,
 ) -> float:
     """Evaluate a property at a distribution estimate of the sample.
 
@@ -94,7 +93,7 @@ def plug_in(
     elif estimator == "tpml":
         from .dist_est import tpml_distribution
 
-        est = tpml_distribution(sample, thresholds=thresholds, cfg=cfg)
+        est = tpml_distribution(sample, cfg=cfg)
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
     return property_value(est, which, param)

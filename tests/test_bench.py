@@ -137,6 +137,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config("task = entropy\ncolor = red\n")
 
+    def test_max_support_is_not_a_key(self):
+        with pytest.raises(ValueError, match="max_support"):
+            parse_config("task = entropy\ndistributions = uniform\nk = 10\n"
+                         "n_grid = 100\nmax_support = 5\n")
+
+    def test_missing_required_keys_named(self):
+        with pytest.raises(ValueError, match="distributions, n_grid"):
+            parse_config("task = entropy\nk = 10\n")
+
     def test_validation(self):
         base = dict(task="entropy", distributions=("uniform",), k=10, n_grid=(100,))
         with pytest.raises(ValueError):
@@ -281,6 +290,8 @@ class TestCli:
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "absent.txt"
         assert main(["estimate", "--sample", str(missing), "--property", "entropy"]) == 2
+        assert main(["bench", "--config", str(tmp_path / "absent.cfg"),
+                     "--out", str(tmp_path / "o")]) == 2
 
     def test_bench_deterministic_outputs(self, tmp_path):
         config = tmp_path / "grid.cfg"
@@ -315,3 +326,22 @@ class TestCli:
         config = tmp_path / "grid.cfg"
         config.write_text("task = entropy\nwhat = no\n")
         assert main(["bench", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+
+    def test_bench_config_without_task_is_invalid_input(self, tmp_path, capsys):
+        config = tmp_path / "grid.cfg"
+        config.write_text("distributions = uniform\nk = 10\nn_grid = 100\n")
+        assert main(["bench", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert "task" in capsys.readouterr().err
+
+    def test_malformed_sample_file_is_invalid_input(self, tmp_path, capsys):
+        sample = tmp_path / "s.txt"
+        sample.write_text("0 x\n")
+        assert main(["estimate", "--sample", str(sample), "--property", "entropy"]) == 1
+
+    def test_malformed_profile_file_is_invalid_input(self, tmp_path, capsys):
+        prof = tmp_path / "proFile"
+        prof.write_text("1 -4 7\n")
+        assert main(["pml", "--profile", str(prof), "--out", str(tmp_path / "o")]) == 1
+
+    def test_uniformity_without_sample_source_is_invalid_input(self, capsys):
+        assert main(["test-uniformity", "--k", "5", "--epsilon", "0.5"]) == 1

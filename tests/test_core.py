@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from pmllab import (
@@ -55,10 +56,9 @@ class TestDistribution:
     def test_k(self):
         assert Distribution([0.25] * 4).k == 4
 
-    def test_min_prob_floor(self):
-        Distribution([0.5, 0.5, 0.0], min_prob=0.4)
+    def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            Distribution([0.9, 0.1], min_prob=0.2)
+            Distribution([0.5, float("nan")])
 
 
 class TestSampleAndProfile:
@@ -91,6 +91,20 @@ class TestSampleAndProfile:
     def test_sample_rejects_negative_symbol(self):
         with pytest.raises(ValueError):
             Sample({-1: 3, 0: 2})
+
+    def test_sample_rejects_fractions(self):
+        with pytest.raises(ValueError):
+            Sample({0: 2.7})
+        with pytest.raises(ValueError):
+            Sample({1.5: 2})
+
+    def test_profile_rejects_fractional_prevalence(self):
+        with pytest.raises(ValueError):
+            Profile({1: 1.5})
+
+    def test_integral_floats_and_numpy_integers_accepted(self):
+        assert Sample({np.int64(3): np.int64(2), 4.0: 2.0}) == Sample({3: 2, 4: 2})
+        assert Profile({np.int64(1): 3.0}) == Profile({1: 3})
 
     def test_profile_rejects_inconsistent_n(self):
         with pytest.raises(ValueError):

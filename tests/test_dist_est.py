@@ -3,7 +3,6 @@ import math
 import pytest
 
 from pmllab import (
-    DenoiseConfig,
     Distribution,
     EmConfig,
     RngSeed,
@@ -50,15 +49,9 @@ class TestDenoise:
         counts.update({i: 1 for i in range(1, 31)})
         sample = Sample(counts)
         pml = empirical_distribution(sample)
-        assigned = denoise(pml, sample, DenoiseConfig(empirical_cutoff=50.0))
+        # n = 100: the empirical cutoff ln(100)^2 is about 21.2, below 70
+        assigned = denoise(pml, sample)
         assert assigned[0] == pytest.approx(0.7)
-
-    def test_degenerate_pool_single_value(self):
-        sample = Sample({i: 1 for i in range(4)})
-        pml = Distribution([0.25] * 4)
-        cfg = DenoiseConfig(mass_to_remove=1e-9, augment_horizon=0, empirical_cutoff=100.0)
-        assigned = denoise(pml, sample, cfg)
-        assert all(v == pytest.approx(0.25, rel=1e-6) for v in assigned.values())
 
     def test_every_observed_symbol_assigned(self):
         sample = draw_sample(make("zipf", 60), 800, RngSeed(4))
@@ -67,18 +60,25 @@ class TestDenoise:
         assert set(assigned) == set(sample.counts)
 
     def test_matches_independent_binomial_median(self):
-        # reconstruct the pool by hand and recompute the weighted median with
-        # exact binomial pmf weights
+        # reconstruct the pool of the default schedule by hand and recompute
+        # the weighted median with exact binomial pmf weights
         n = 100
         sample = Sample({0: 1, 1: 1, 2: n - 2})
         pml = Distribution([0.01] * 100)
-        cfg = DenoiseConfig(mass_to_remove=0.005, augment_horizon=2, empirical_cutoff=50.0)
-        assigned = denoise(pml, sample, cfg)
+        assigned = denoise(pml, sample)
 
-        pool = sorted([0.01] * 100, reverse=True)
-        pool[0] -= 0.005
-        for j in (1, 2):
-            pool.extend([j / n] * DenoiseConfig.augment_count(j, n))
+        ln2 = math.log(n) ** 2
+        pool = [0.01] * 100
+        to_remove = 1 / ln2  # about 0.047: four entries emptied, a fifth cut
+        for i in range(len(pool)):
+            take = min(pool[i], to_remove)
+            pool[i] -= take
+            to_remove -= take
+        assert pool[3] == 0.0 and 0.0 < pool[4] < 0.01
+        for j in range(1, math.ceil(ln2) + 1):
+            # n / (j ln(n)^4) < 0.25 at n = 100: no candidate is added
+            pool.extend([j / n] * round(n / (j * ln2 * ln2)))
+        assert len(pool) == 100
         weights = [math.comb(n, 1) * v * (1 - v) ** (n - 1) for v in pool]
         total = sum(weights)
         acc = 0.0

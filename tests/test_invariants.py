@@ -1,17 +1,49 @@
 """Property-based tests: invariants checked on generated inputs."""
 
 import math
+import tempfile
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmllab import EmConfig, RngSeed, Sample, tpml_distribution
+from pmllab import (
+    Distribution,
+    EmConfig,
+    Profile,
+    RngSeed,
+    Sample,
+    profile_of,
+    remd_truncated,
+    sorted_l1,
+    tpml_distribution,
+    wasserstein1_multiset,
+)
+from pmllab.bench import read_profile_file, read_sample_file, write_profile_file, write_sample_file
+from pmllab.core import PROB_TOL
+
+_examples = settings(max_examples=50, deadline=None, derandomize=True)
 
 _counts = st.dictionaries(st.integers(0, 40), st.integers(1, 8), min_size=1, max_size=10).filter(
     lambda c: sum(c.values()) >= 2
 )
 
+_weights = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12).filter(lambda w: sum(w) > 1e-3)
 
-@settings(max_examples=50, deadline=None, derandomize=True)
+
+def _normalised(weights):
+    total = math.fsum(weights)
+    return Distribution([w / total for w in weights])
+
+
+@st.composite
+def _distribution_pair(draw):
+    k = draw(st.integers(1, 12))
+    same_k = st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k).filter(lambda w: sum(w) > 1e-3)
+    return _normalised(draw(same_k)), _normalised(draw(same_k))
+
+
+@_examples
 @given(
     counts=_counts,
     alpha=st.floats(1.0, 8.0),
@@ -24,3 +56,60 @@ def test_tpml_is_a_distribution(counts, alpha, band, gamma):
     )
     assert min(est.probs) >= 0.0
     assert math.isclose(math.fsum(est.probs), 1.0, abs_tol=1e-9)
+
+
+@_examples
+@given(counts=_counts)
+def test_profile_mass_identity(counts):
+    sample = Sample(counts)
+    prof = profile_of(sample)
+    assert sum(i * phi for i, phi in prof.prevalences.items()) == sample.n
+    assert sum(prof.prevalences.values()) == sample.distinct
+    assert Profile.from_multiplicities(prof.multiplicities()) == prof
+
+
+@_examples
+@given(pair=_distribution_pair())
+def test_sorted_l1_is_k_times_wasserstein(pair):
+    p, q = pair
+    assert sorted_l1(p, q) == pytest.approx(p.k * wasserstein1_multiset(p, q), rel=1e-9, abs=1e-12)
+
+
+@_examples
+@given(pair=_distribution_pair(), taus=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6))
+def test_remd_truncated_non_increasing_in_tau(pair, taus):
+    p, q = pair
+    costs = [remd_truncated(p, q, tau) for tau in sorted(taus)]
+    for lower, higher in zip(costs, costs[1:]):
+        assert higher <= lower + 1e-12
+
+
+@_examples
+@given(counts=_counts)
+def test_sample_file_round_trip(counts):
+    sample = Sample(counts)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sample.txt"
+        write_sample_file(sample, path)
+        assert read_sample_file(path) == sample
+
+
+@_examples
+@given(counts=_counts)
+def test_profile_file_round_trip(counts):
+    prof = profile_of(Sample(counts))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "proFile"
+        write_profile_file(prof, path)
+        assert read_profile_file(path) == prof
+
+
+@_examples
+@given(weights=_weights, drift=st.floats(-0.5 * PROB_TOL, 0.5 * PROB_TOL))
+def test_distribution_normalisation(weights, drift):
+    # entries whose total is off from 1 by less than PROB_TOL are accepted
+    # and renormalised
+    total = math.fsum(weights)
+    dist = Distribution([w / total * (1.0 + drift) for w in weights])
+    assert min(dist.probs) >= 0.0
+    assert math.isclose(math.fsum(dist.probs), 1.0, abs_tol=1e-12)

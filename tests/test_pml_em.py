@@ -39,8 +39,6 @@ class TestEmConfig:
             EmConfig(max_support=0)
         with pytest.raises(ValueError):
             EmConfig(mcmc_sweeps_per_estep=0)
-        with pytest.raises(ValueError):
-            EmConfig(tau_multiplier=0.0)
 
     def test_int_seed_coerced(self):
         assert EmConfig(seed=5).seed == RngSeed(5)
