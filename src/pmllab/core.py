@@ -39,40 +39,68 @@ def _integer(x, what: str) -> int:
     return v
 
 
-@dataclass(frozen=True)
 class Distribution:
-    """A finite discrete probability mass function over symbols ``0..k-1``."""
+    """A finite discrete probability mass function over symbols ``0..k-1``.
 
-    probs: tuple[float, ...]
+    The entries live in one read-only float64 array (8 bytes each);
+    ``probs`` builds a tuple of them on each access.
+    """
 
     def __init__(self, probs: Iterable[float]):
-        vals = [float(v) for v in probs]
-        if not vals:
-            raise ValueError("a distribution needs at least one entry")
-        lo = min(vals)
+        if isinstance(probs, np.ndarray):
+            vals = probs.astype(float)
+        else:
+            vals = np.fromiter(probs, dtype=float)
+        if vals.ndim != 1 or not vals.size:
+            raise ValueError("a distribution needs a flat sequence of at least one entry")
+        if np.isnan(vals).any():
+            raise ValueError("NaN probability entry")
+        lo = vals.min()
         if lo < -1e-12:
             raise ValueError(f"negative probability entry: {lo}")
         if lo < 0.0:
-            vals = [v if v > 0.0 else 0.0 for v in vals]
-        total = math.fsum(vals)
-        # written so that a NaN total (any NaN entry) fails it too
+            vals = np.where(vals > 0.0, vals, 0.0)
+        total = math.fsum(vals.tolist())
         if not abs(total - 1.0) <= PROB_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
         if total != 1.0:
-            vals = [v / total for v in vals]
-        object.__setattr__(self, "probs", tuple(vals))
+            vals = vals / total
+        vals.flags.writeable = False
+        object.__setattr__(self, "_p", vals)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Distribution is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Distribution is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Distribution):
+            return NotImplemented
+        return bool(np.array_equal(self._p, other._p))
+
+    def __hash__(self):
+        return hash(self.probs)
+
+    def __repr__(self):
+        return f"Distribution(probs={self.probs!r})"
+
+    @property
+    def probs(self) -> tuple[float, ...]:
+        return tuple(self._p.tolist())
 
     @property
     def k(self) -> int:
         """Alphabet size."""
-        return len(self.probs)
+        return int(self._p.size)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.probs, dtype=float)
+        """The entries as a read-only array (no copy)."""
+        return self._p
 
     def min_nonzero(self) -> float:
         """Smallest positive entry; 1.0 for a point mass."""
-        return min(v for v in self.probs if v > 0.0)
+        return float(self._p[self._p > 0.0].min())
 
 
 @dataclass(frozen=True, eq=False)

@@ -60,6 +60,27 @@ class TestDistribution:
         with pytest.raises(ValueError):
             Distribution([0.5, float("nan")])
 
+    def test_rejects_nan_next_to_negative_dust(self):
+        # the clamp of tiny negative entries must not turn the NaN into 0.0
+        with pytest.raises(ValueError):
+            Distribution([-1e-13, float("nan"), 1.0])
+
+    def test_value_semantics(self):
+        a = Distribution([0.25, 0.75])
+        b = Distribution(np.array([0.25, 0.75]))
+        assert a == b and hash(a) == hash(b)
+        assert a != Distribution([0.75, 0.25])
+        assert repr(a) == "Distribution(probs=(0.25, 0.75))"
+        assert a.probs == (0.25, 0.75)
+        with pytest.raises(ValueError):
+            a.as_array()[0] = 0.5
+
+    def test_does_not_freeze_the_callers_array(self):
+        q = np.array([0.5, 0.5])
+        Distribution(q)
+        q[0] = 0.25
+        assert q[0] == 0.25
+
 
 class TestSampleAndProfile:
     def test_profile_of_repeated_letters(self):
