@@ -8,9 +8,11 @@ on the remaining profile, then reassemble and renormalize.
 The EM treats the injective assignment of observed distinct symbols to
 output support points as the latent variable. The E-step is exact on small
 instances (the log-space dynamic program of the profile likelihood, run once
-per left-out support point) and Metropolis-sampled with pairwise swap
-proposals at scale; the M-step reweights each support point by its expected
-assigned multiplicity mass.
+per left-out support point) and Metropolis-sampled at scale. The sampled
+E-step draws its randomness once per E-step: one random symbol order fixes
+which symbols meet in swap and relocation proposals, and one offset per
+sweep and block rotates the pairing. The M-step reweights each support
+point by its expected assigned multiplicity mass.
 """
 
 from __future__ import annotations
@@ -60,9 +62,10 @@ class EmConfig:
         if self.mcmc_sweeps_per_estep < 1:
             raise ValueError("mcmc_sweeps_per_estep must be >= 1")
 
-    def split_threshold(self, n: int) -> float:
-        """Multiplicity threshold for the frequent-symbol split (natural log)."""
-        return _TAU_MULTIPLIER * math.log(n) ** 2
+
+def split_threshold(n: int) -> float:
+    """Multiplicity threshold for the frequent-symbol split (natural log)."""
+    return _TAU_MULTIPLIER * math.log(n) ** 2
 
 
 @dataclass(frozen=True)
@@ -79,13 +82,12 @@ class SplitResult:
             raise ValueError(f"removed mass {self.removed_mass} outside [0, 1]")
 
 
-def split_large(sample: Sample, cfg: EmConfig | None = None) -> SplitResult:
+def split_large(sample: Sample) -> SplitResult:
     """Move symbols with multiplicity >= 1.5 * ln(n)^2 to
     empirical estimates and keep the rest."""
-    cfg = cfg or EmConfig()
     if sample.n < 2:
         raise ValueError("need at least two draws")
-    tau = cfg.split_threshold(sample.n)
+    tau = split_threshold(sample.n)
     large: dict[int, float] = {}
     kept: dict[int, int] = {}
     for sym in sorted(sample.counts):
@@ -185,46 +187,81 @@ def _mcmc_estep_mass(
     """Expected multiplicity mass per support point, by Metropolis sampling
     of the latent assignment.
 
-    Each sweep applies a block of disjoint pairwise proposals: swaps of the
-    targets of two observed symbols, then relocations of symbols to
-    unassigned support points. Blocks of moves with disjoint supports keep
-    every acceptance ratio exact while allowing vectorized updates.
+    Each sweep applies two blocks of disjoint pairwise proposals: swaps of
+    the targets of two observed symbols, then relocations of symbols to
+    unassigned support points. Within a block the pairs are disjoint and
+    chosen independently of the state, so every acceptance ratio is exact
+    and the block updates vectorize.
+
+    The pairings are drawn once per E-step. One random symbol order splits
+    the symbols into halves A and B; sweep t pairs A[i] with
+    B[(i + r_t) mod |B|]. Relocations pair the free slots with symbols of
+    the same order shifted by s_t (or each symbol with a shifted slot when
+    the slots outnumber the symbols). The offsets r_t, s_t and all
+    acceptance uniforms come from one draw each. No symbol sits out a
+    whole E-step (with odd m, one B symbol rests per sweep), and over the
+    sweeps every A x B pair can be proposed; those transpositions generate
+    every assignment, so the stationary law stays prod_j q_sigma(j)^mult_j.
+
     ``sigma`` and ``unassigned`` are the chain state and are advanced in
     place, so the chain persists across E-steps.
     """
     m = int(mults.size)
+    free = int(unassigned.size)
+    steps = sweeps + burn
     lq = np.log(np.maximum(q, _LOG_FLOOR))
+    order = gen.permutation(m)
+    # the state in symbol-order coordinates: symbol order[i] sits at x[i]
+    x = sigma[order]
+    mo = mults[order]
+    half = m // 2
+    nb = m - half
+    swap_at = gen.integers(nb, size=steps)
+    swap_logu = gen.random((steps, half))
+    np.log(swap_logu, out=swap_logu)  # in place: these arrays are the E-step's largest
+    # B listed twice, so that each sweep's partners are one slice of it
+    b_twice = np.tile(np.arange(half, m), 2)
+    mb_twice = np.tile(mo[half:], 2)
+    ma = mo[:half]
+    if free:
+        nmoves = min(m, free)
+        span = max(m, free)
+        move_at = gen.integers(span, size=steps)
+        move_logu = gen.random((steps, nmoves))
+        np.log(move_logu, out=move_logu)
+        # the longer of symbols and free slots, listed twice
+        ring_twice = np.tile(np.arange(span), 2)
     mass = np.zeros(K)
-    kept = 0
-    npairs = m // 2
-    for sweep in range(sweeps + burn):
-        perm = gen.permutation(m)
-        if npairs:
-            j1 = perm[:npairs]
-            j2 = perm[npairs : 2 * npairs]
-            delta = (mults[j1] - mults[j2]) * (lq[sigma[j2]] - lq[sigma[j1]])
-            accept = np.log(gen.random(npairs)) < delta
-            a1 = j1[accept]
-            a2 = j2[accept]
-            swapped = sigma[a1].copy()
-            sigma[a1] = sigma[a2]
-            sigma[a2] = swapped
-        free = unassigned.size
+    # Accepted moves are applied as x + accept * (y - x): a blend without
+    # branches, which beats np.where on random masks. Each side's new
+    # values are computed from its own old values and the step, so a view
+    # read before the write cannot leak a point into both sides.
+    for t in range(steps):
+        if half:
+            r = swap_at[t]
+            pb = b_twice[r : r + half]
+            xa = x[:half]
+            xb = x[pb]
+            accept = swap_logu[t] < (ma - mb_twice[r : r + half]) * (lq[xb] - lq[xa])
+            step = (xb - xa) * accept
+            x[pb] = xb - step
+            x[:half] += step
         if free:
-            nmoves = min(m, free)
-            movers = gen.permutation(m)[:nmoves]
-            slots = gen.permutation(free)[:nmoves]
-            delta = mults[movers] * (lq[unassigned[slots]] - lq[sigma[movers]])
-            accept = np.log(gen.random(nmoves)) < delta
-            mv = movers[accept]
-            sl = slots[accept]
-            vacated = sigma[mv].copy()
-            sigma[mv] = unassigned[sl]
-            unassigned[sl] = vacated
-        if sweep >= burn:
-            mass += np.bincount(sigma, weights=mults, minlength=K)
-            kept += 1
-    return mass / kept
+            s = move_at[t]
+            window = ring_twice[s : s + nmoves]
+            # free slot j faces the symbol at position j + s, or, when the
+            # slots outnumber the symbols, symbol i faces slot i + s
+            pos, slot = (window, slice(None)) if free <= m else (slice(None), window)
+            xs = x[pos]
+            us = unassigned[slot]
+            accept = move_logu[t] < mo[pos] * (lq[us] - lq[xs])
+            step = (us - xs) * accept
+            x[pos] = xs + step
+            unassigned[slot] = us - step
+        if t >= burn:
+            mass += np.bincount(x, weights=mo, minlength=K)
+    sigma[order] = x
+    return mass / sweeps
 
 
 #: The sampled-E-step solver returns the mean of the descending-sorted
@@ -234,9 +271,8 @@ def _mcmc_estep_mass(
 _AVG_WINDOW = 20
 
 
-def _em_iterate(profile: Profile, K: int, cfg: EmConfig, q: np.ndarray,
-                exact: bool, record_likelihood: bool):
-    mults = np.asarray(profile.multiplicities(), dtype=float)
+def _em_iterate(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig,
+                q: np.ndarray, exact: bool, record_likelihood: bool):
     m = int(mults.size)
     trace: list[float] = []
     if exact:
@@ -297,10 +333,10 @@ def _em_run(profile: Profile, K: int, cfg: EmConfig, record_likelihood: bool):
         # desk scale is cheap enough to certify both basins by likelihood
         starts.append(_empirical_start(mults, K))
     if len(starts) == 1:
-        return _em_iterate(profile, K, cfg, starts[0], exact, record_likelihood)
+        return _em_iterate(profile, mults, K, cfg, starts[0], exact, record_likelihood)
     best = None
     for q0 in starts:
-        dist, trace = _em_iterate(profile, K, cfg, q0, exact, record_likelihood)
+        dist, trace = _em_iterate(profile, mults, K, cfg, q0, exact, record_likelihood)
         score = trace[-1] if record_likelihood else profile_probability(dist, profile)
         if best is None or score > best[0]:
             best = (score, dist, trace)
@@ -344,7 +380,7 @@ def approximate_pml(
     cfg = cfg or EmConfig()
     if sample.n < 2:
         raise ValueError("need at least two draws")
-    split = split_large(sample, cfg)
+    split = split_large(sample)
     reduced = split.reduced_sample
     big = sorted(split.large_symbols)
     if k_hint is not None and int(k_hint) < len(big) + reduced.distinct:

@@ -23,7 +23,7 @@ from pmllab import (
     sorted_l1,
     split_large,
 )
-from pmllab.pml_em import _exact_estep_mass
+from pmllab.pml_em import _exact_estep_mass, _mcmc_estep_mass, split_threshold
 
 
 class TestEmConfig:
@@ -45,7 +45,7 @@ class TestEmConfig:
 
     def test_split_threshold(self):
         # 1.5 * ln(10^4)^2 is about 127.2
-        assert EmConfig().split_threshold(10**4) == pytest.approx(127.24, abs=0.01)
+        assert split_threshold(10**4) == pytest.approx(127.24, abs=0.01)
 
 
 class TestSplitLarge:
@@ -172,6 +172,36 @@ class TestEmPml:
             got = _exact_estep_mass(q, mults, K)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
             assert got.sum() == pytest.approx(mults.sum(), rel=1e-12)
+
+    @staticmethod
+    def _chain(mults, K, gen):
+        start = gen.permutation(K)
+        return start[: mults.size].copy(), start[mults.size :].copy()
+
+    def test_mcmc_estep_is_exact_in_law(self):
+        # odd and even m, K = m (no free slot), free <= m and free > m
+        for i, (m, K) in enumerate(((7, 7), (6, 6), (5, 8), (6, 9), (5, 14), (4, 11))):
+            rng = np.random.default_rng(300 + i)
+            mults = np.sort(rng.integers(1, 5, m))[::-1].astype(float)
+            q = rng.dirichlet(np.ones(K))
+            gen = np.random.default_rng(i)
+            sigma, unassigned = self._chain(mults, K, gen)
+            got = _mcmc_estep_mass(q, mults, K, 20000, gen, sigma, unassigned, 10)
+            want = _exact_estep_mass(q, mults, K)
+            assert np.abs(got - want).max() <= 0.01 * mults.sum(), (m, K)
+
+    def test_mcmc_chain_state_stays_a_matching(self):
+        # every support point is held once, by a symbol or by the free list
+        for i, (m, K) in enumerate(((41, 41), (40, 55), (41, 90), (1, 3), (2, 2))):
+            rng = np.random.default_rng(400 + i)
+            mults = np.sort(rng.integers(1, 9, m))[::-1].astype(float)
+            gen = np.random.default_rng(i)
+            sigma, unassigned = self._chain(mults, K, gen)
+            for _ in range(4):
+                q = rng.dirichlet(np.ones(K))
+                mass = _mcmc_estep_mass(q, mults, K, 7, gen, sigma, unassigned, 2)
+                assert np.array_equal(np.sort(np.concatenate((sigma, unassigned))), np.arange(K))
+                assert mass.sum() == pytest.approx(mults.sum(), rel=1e-12)
 
     def test_trace_at_large_n(self):
         # m=10 takes the sampled E-step, monotone only in expectation
