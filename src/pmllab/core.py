@@ -264,9 +264,9 @@ def sorted_l1(p: Distribution, q: Distribution) -> float:
     """
     size = max(p.k, q.k)
     a = np.zeros(size)
-    a[: p.k] = p.probs
+    a[: p.k] = p.as_array()
     b = np.zeros(size)
-    b[: q.k] = q.probs
+    b[: q.k] = q.as_array()
     a = np.sort(a)[::-1]
     b = np.sort(b)[::-1]
     return float(np.abs(a - b).sum())

@@ -174,7 +174,8 @@ def tpml_distribution(
         K = estimate_support(light_sample, cfg.max_support)
         scale = light_sample.n / n
         est = em_pml(profile_of(light_sample), K, cfg)
-        entries.extend(scale * v for v in est.probs if v > 0.0)
+        p = est.as_array()
+        entries.extend((scale * p[p > 0.0]).tolist())
     for s in sorted(sample.counts):
         c = sample.counts[s]
         if c > beta_n:

@@ -74,7 +74,8 @@ def profile_probability(dist: Distribution, profile: Profile) -> float:
     log_coef = math.lgamma(profile.n + 1) - sum(
         phi * math.lgamma(i + 1) for i, phi in profile.prevalences.items()
     )
-    lp = np.log([p for p in dist.probs if p > 0.0])
+    p = dist.as_array()
+    lp = np.log(p[p > 0.0])
     return math.exp(log_coef + _log_monomial_table(lp, mults).flat[-1])
 
 

@@ -388,18 +388,17 @@ def approximate_pml(
             f"alphabet hint {k_hint} is smaller than the {len(big) + reduced.distinct} "
             "distinct symbols observed"
         )
-    entries: list[float] = []
+    parts = []
     if reduced.n:
         if k_hint is not None:
             K = int(k_hint) - len(big)
         else:
             K = estimate_support(reduced, cfg.max_support)
         scale = 1.0 - split.removed_mass
-        p_r = em_pml(profile_of(reduced), K, cfg)
-        entries.extend(scale * v for v in p_r.probs)
-    entries.extend(split.large_symbols[s] for s in big)
-    total = math.fsum(entries)
-    return Distribution([v / total for v in entries])
+        parts.append(scale * em_pml(profile_of(reduced), K, cfg).as_array())
+    parts.append(np.array([split.large_symbols[s] for s in big], dtype=float))
+    entries = np.concatenate(parts)
+    return Distribution(entries / math.fsum(entries.tolist()))
 
 
 def sample_of_profile(profile: Profile) -> Sample:

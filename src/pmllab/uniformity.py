@@ -34,6 +34,6 @@ def t_pml_test(sample: Sample, k: int, epsilon: float, pml: Distribution) -> int
         return 1
     padded = np.zeros(k)
     use = min(pml.k, k)
-    padded[:use] = pml.probs[:use]
+    padded[:use] = pml.as_array()[:use]
     gap = math.sqrt(float(((padded - 1.0 / k) ** 2).sum()))
     return 1 if gap >= 3.0 * epsilon / (4.0 * math.sqrt(k)) else 0
