@@ -8,11 +8,13 @@ on the remaining profile, then reassemble and renormalize.
 The EM treats the injective assignment of observed distinct symbols to
 output support points as the latent variable. The E-step is exact on small
 instances (the log-space dynamic program of the profile likelihood, run once
-per left-out support point) and Metropolis-sampled at scale. The sampled
-E-step draws its randomness once per E-step: one random symbol order fixes
-which symbols meet in swap and relocation proposals, and one offset per
-sweep and block rotates the pairing. The M-step reweights each support
-point by its expected assigned multiplicity mass.
+per left-out support point) and Metropolis-sampled at scale. Symbols of
+equal multiplicity are exchangeable, so the sampled E-step runs its chain
+on the multiplicity each support point holds: one block of pairwise content
+exchanges per sweep covers both symbol swaps and moves to empty points. Its
+randomness is drawn once per E-step: one random slot order fixes which
+points meet, and one offset per sweep rotates the pairing. The M-step
+reweights each support point by its expected assigned multiplicity mass.
 """
 
 from __future__ import annotations
@@ -175,93 +177,71 @@ def _exact_estep_mass(q: np.ndarray, mults: np.ndarray, K: int) -> np.ndarray:
 
 @np.errstate(divide="ignore")  # np.log of a uniform draw of exactly 0.0
 def _mcmc_estep_mass(
-    q: np.ndarray,
-    mults: np.ndarray,
-    K: int,
-    sweeps: int,
-    gen: np.random.Generator,
-    sigma: np.ndarray,
-    unassigned: np.ndarray,
-    burn: int,
+    q: np.ndarray, y: np.ndarray, sweeps: int, gen: np.random.Generator, burn: int
 ) -> np.ndarray:
     """Expected multiplicity mass per support point, by Metropolis sampling
     of the latent assignment.
 
-    Each sweep applies two blocks of disjoint pairwise proposals: swaps of
-    the targets of two observed symbols, then relocations of symbols to
-    unassigned support points. Within a block the pairs are disjoint and
-    chosen independently of the state, so every acceptance ratio is exact
-    and the block updates vectorize.
+    Symbols of equal multiplicity are exchangeable, so the chain runs on
+    slot contents: ``y[s]`` is the multiplicity held by support point s, 0
+    if the point is empty. The target is proportional to prod_s q_s^y_s,
+    the image of the law prod_j q_sigma(j)^mult_j of the assignment sigma.
+    A move exchanges the contents of two points a and b and is accepted
+    when log u < (y_a - y_b) * (lq_b - lq_a). That one rule covers a swap of
+    two symbols and a relocation of a symbol to an empty point, so each
+    sweep is a single block of disjoint pairs, chosen independently of the
+    state: every acceptance ratio is exact and the block vectorizes. One
+    block per sweep, over all K points, is what keeps a sweep cheap; it
+    proposes about m(K - m)/K moves to empty points per sweep.
 
-    The pairings are drawn once per E-step. One random symbol order splits
-    the symbols into halves A and B; sweep t pairs A[i] with
-    B[(i + r_t) mod |B|]. Relocations pair the free slots with symbols of
-    the same order shifted by s_t (or each symbol with a shifted slot when
-    the slots outnumber the symbols). The offsets r_t, s_t and all
-    acceptance uniforms come from one draw each. No symbol sits out a
-    whole E-step (with odd m, one B symbol rests per sweep), and over the
-    sweeps every A x B pair can be proposed; those transpositions generate
-    every assignment, so the stationary law stays prod_j q_sigma(j)^mult_j.
+    The pairing is drawn once per E-step. One random slot order splits the
+    points into halves A and B; sweep t pairs A[i] with B[(i + r_t) mod |B|].
+    The offsets and all acceptance uniforms come from one draw each. No
+    point sits out a whole E-step (with odd K, one B point rests per
+    sweep), and over the sweeps every A x B pair can be proposed; those
+    transpositions reach every arrangement of the contents.
 
-    ``sigma`` and ``unassigned`` are the chain state and are advanced in
-    place, so the chain persists across E-steps.
+    ``y`` is the chain state and is advanced in place, so the chain
+    persists across E-steps. The mass sums integer-valued contents, so it
+    is exact up to the final division by ``sweeps``.
     """
-    m = int(mults.size)
-    free = int(unassigned.size)
+    K = int(y.size)
     steps = sweeps + burn
-    lq = np.log(np.maximum(q, _LOG_FLOOR))
-    order = gen.permutation(m)
-    # the state in symbol-order coordinates: symbol order[i] sits at x[i]
-    x = sigma[order]
-    mo = mults[order]
-    half = m // 2
-    nb = m - half
-    swap_at = gen.integers(nb, size=steps)
-    swap_logu = gen.random((steps, half))
-    np.log(swap_logu, out=swap_logu)  # in place: these arrays are the E-step's largest
-    # B listed twice, so that each sweep's partners are one slice of it
-    b_twice = np.tile(np.arange(half, m), 2)
-    mb_twice = np.tile(mo[half:], 2)
-    ma = mo[:half]
-    if free:
-        nmoves = min(m, free)
-        span = max(m, free)
-        move_at = gen.integers(span, size=steps)
-        move_logu = gen.random((steps, nmoves))
-        np.log(move_logu, out=move_logu)
-        # the longer of symbols and free slots, listed twice
-        ring_twice = np.tile(np.arange(span), 2)
-    mass = np.zeros(K)
-    # Accepted moves are applied as x + accept * (y - x): a blend without
-    # branches, which beats np.where on random masks. Each side's new
-    # values are computed from its own old values and the step, so a view
-    # read before the write cannot leak a point into both sides.
+    order = gen.permutation(K)
+    half = K // 2
+    nb = K - half
+    # The state in slot-order coordinates, with B listed twice so that each
+    # sweep's partners are one slice: point order[i] holds w[i], and B's
+    # copy w[K:] mirrors w[half:K] between sweeps.
+    w = y[np.concatenate((order, order[half:]))]
+    lw = np.log(np.maximum(q[order], _LOG_FLOOR))
+    la = lw[:half]
+    lb_twice = np.tile(lw[half:], 2)
+    at = gen.integers(nb, size=steps)
+    logu = gen.random((steps, half))
+    np.log(logu, out=logu)  # in place: this is the E-step's largest array
+    za = w[:half]
+    acc = np.zeros(K)
     for t in range(steps):
-        if half:
-            r = swap_at[t]
-            pb = b_twice[r : r + half]
-            xa = x[:half]
-            xb = x[pb]
-            accept = swap_logu[t] < (ma - mb_twice[r : r + half]) * (lq[xb] - lq[xa])
-            step = (xb - xa) * accept
-            x[pb] = xb - step
-            x[:half] += step
-        if free:
-            s = move_at[t]
-            window = ring_twice[s : s + nmoves]
-            # free slot j faces the symbol at position j + s, or, when the
-            # slots outnumber the symbols, symbol i faces slot i + s
-            pos, slot = (window, slice(None)) if free <= m else (slice(None), window)
-            xs = x[pos]
-            us = unassigned[slot]
-            accept = move_logu[t] < mo[pos] * (lq[us] - lq[xs])
-            step = (us - xs) * accept
-            x[pos] = xs + step
-            unassigned[slot] = us - step
+        r = at[t]
+        e = r + half
+        zb = w[half + r : half + e]
+        # Accepted exchanges are applied as a blend without branches, which
+        # beats np.where on random masks.
+        step = zb - za
+        step *= logu[t] < step * (la - lb_twice[r:e])
+        za += step
+        zb -= step
+        wrap = e - nb
+        if wrap > 0:  # the window ran into the copy; write that part back to B
+            w[half : half + wrap] = w[K : K + wrap]
+        w[K:] = w[half:K]
         if t >= burn:
-            mass += np.bincount(x, weights=mo, minlength=K)
-    sigma[order] = x
-    return mass / sweeps
+            acc += w[:K]
+    y[order] = w[:K]
+    mass = np.empty(K)
+    mass[order] = acc / sweeps
+    return mass
 
 
 #: The sampled-E-step solver returns the mean of the descending-sorted
@@ -273,7 +253,6 @@ _AVG_WINDOW = 20
 
 def _em_iterate(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig,
                 q: np.ndarray, exact: bool, record_likelihood: bool):
-    m = int(mults.size)
     trace: list[float] = []
     if exact:
         for _ in range(cfg.em_iterations):
@@ -291,9 +270,10 @@ def _em_iterate(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig,
     # alive; the exact E-step gives every point positive mass already, and
     # any smoothing there would break likelihood monotonicity.
     kappa = 1.0 / (K * profile.n)
-    order = np.argsort(-q, kind="stable")
-    sigma = order[:m].copy()  # mults are descending, so this is a greedy matching
-    unassigned = order[m:].copy()
+    # the chain state: the multiplicity each support point holds, starting
+    # from the greedy matching (mults are descending)
+    y = np.zeros(K)
+    y[np.argsort(-q, kind="stable")[: mults.size]] = mults
     window = min(_AVG_WINDOW, cfg.em_iterations)
     averaged = np.zeros(K)
     kept = 0
@@ -301,9 +281,7 @@ def _em_iterate(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig,
         if record_likelihood:
             trace.append(profile_probability(Distribution(q), profile))
         burn = max(1, cfg.mcmc_sweeps_per_estep // 4) if it == 0 else 0
-        mass = _mcmc_estep_mass(
-            q, mults, K, cfg.mcmc_sweeps_per_estep, gen, sigma, unassigned, burn
-        )
+        mass = _mcmc_estep_mass(q, y, cfg.mcmc_sweeps_per_estep, gen, burn)
         q = mass + kappa
         q = q / q.sum()
         if it >= cfg.em_iterations - window:

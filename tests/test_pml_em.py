@@ -175,33 +175,37 @@ class TestEmPml:
 
     @staticmethod
     def _chain(mults, K, gen):
-        start = gen.permutation(K)
-        return start[: mults.size].copy(), start[mults.size :].copy()
+        y = np.zeros(K)
+        y[gen.permutation(K)[: mults.size]] = mults
+        return y
 
     def test_mcmc_estep_is_exact_in_law(self):
-        # odd and even m, K = m (no free slot), free <= m and free > m
-        for i, (m, K) in enumerate(((7, 7), (6, 6), (5, 8), (6, 9), (5, 14), (4, 11))):
+        # odd and even K, K = m (no empty point), few and many empty points
+        cases = ((7, 7), (6, 6), (5, 8), (6, 9), (5, 14), (4, 11), (1, 3), (2, 2))
+        for i, (m, K) in enumerate(cases):
             rng = np.random.default_rng(300 + i)
             mults = np.sort(rng.integers(1, 5, m))[::-1].astype(float)
             q = rng.dirichlet(np.ones(K))
             gen = np.random.default_rng(i)
-            sigma, unassigned = self._chain(mults, K, gen)
-            got = _mcmc_estep_mass(q, mults, K, 20000, gen, sigma, unassigned, 10)
+            got = _mcmc_estep_mass(q, self._chain(mults, K, gen), 20000, gen, 10)
             want = _exact_estep_mass(q, mults, K)
             assert np.abs(got - want).max() <= 0.01 * mults.sum(), (m, K)
 
     def test_mcmc_chain_state_stays_a_matching(self):
-        # every support point is held once, by a symbol or by the free list
+        # the slot contents stay a rearrangement of the multiplicities and
+        # K - m empty points, and the mass averages whole contents
         for i, (m, K) in enumerate(((41, 41), (40, 55), (41, 90), (1, 3), (2, 2))):
             rng = np.random.default_rng(400 + i)
             mults = np.sort(rng.integers(1, 9, m))[::-1].astype(float)
+            held = np.sort(np.concatenate((mults, np.zeros(K - m))))
             gen = np.random.default_rng(i)
-            sigma, unassigned = self._chain(mults, K, gen)
+            y = self._chain(mults, K, gen)
             for _ in range(4):
                 q = rng.dirichlet(np.ones(K))
-                mass = _mcmc_estep_mass(q, mults, K, 7, gen, sigma, unassigned, 2)
-                assert np.array_equal(np.sort(np.concatenate((sigma, unassigned))), np.arange(K))
+                mass = _mcmc_estep_mass(q, y, 7, gen, 2)
+                assert np.array_equal(np.sort(y), held)
                 assert mass.sum() == pytest.approx(mults.sum(), rel=1e-12)
+                np.testing.assert_allclose(mass * 7, np.round(mass * 7), rtol=0, atol=1e-9)
 
     def test_trace_at_large_n(self):
         # m=10 takes the sampled E-step, monotone only in expectation
