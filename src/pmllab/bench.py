@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .core import Distribution, Profile, Sample, sorted_l1, lp_distance
+from .core import Distribution, Profile, Sample, _integer, sorted_l1, lp_distance
 from .dist_est import estimate_unsorted_l1, tpml_distribution
-from .distributions import FAMILIES, RngSeed, draw_sample, make
+from .distributions import FAMILIES, RngSeed, as_seed, draw_sample, make
 from .pml_em import EmConfig, approximate_pml
 from .properties import empirical_distribution, property_value
 from .uniformity import t_pml_test
@@ -114,10 +114,10 @@ class ExperimentConfig:
     mcmc_sweeps: int = EmConfig.mcmc_sweeps_per_estep
 
     def __post_init__(self):
-        if isinstance(self.seed, int):
-            object.__setattr__(self, "seed", RngSeed(self.seed))
+        object.__setattr__(self, "seed", as_seed(self.seed))
         object.__setattr__(self, "distributions", tuple(self.distributions))
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        object.__setattr__(self, "k", _integer(self.k, "k"))
+        object.__setattr__(self, "n_grid", tuple(_integer(n, "n_grid entry") for n in self.n_grid))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")

@@ -19,9 +19,6 @@ from .properties import PROPERTY_TAGS, plug_in
 from .uniformity import t_pml_test
 
 
-_EM_DEFAULTS = EmConfig()
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -32,6 +29,12 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="pmllab", description="Profile-based inference toolbox")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the EM flags of pml, estimate and test-uniformity, with EmConfig's defaults
+    em = argparse.ArgumentParser(add_help=False)
+    em.add_argument("--em-iters", type=int, default=EmConfig.em_iterations)
+    em.add_argument("--sweeps", type=int, default=EmConfig.mcmc_sweeps_per_estep)
+    em.add_argument("--seed", type=int, default=0)
+
     p = sub.add_parser("sample", help="draw a sample from a benchmark distribution")
     p.add_argument("--dist", required=True, help="family name (uniform, two_step, ...)")
     p.add_argument("--k", type=int, required=True)
@@ -40,36 +43,25 @@ def _build_parser() -> _Parser:
     p.add_argument("--zipf-s", type=float, default=0.5, help="exponent for the zipf family")
     p.add_argument("--out", required=True, help="sample file to write")
 
-    p = sub.add_parser("pml", help="profile file in, probability-vector file out")
+    p = sub.add_parser("pml", parents=[em], help="profile file in, probability-vector file out")
     p.add_argument("--profile", required=True, help="input profile file")
     p.add_argument("--out", required=True, help="output probability-vector file")
     p.add_argument("--k", type=int, default=None, help="true alphabet size, if known")
-    p.add_argument("--max-support", type=int, default=_EM_DEFAULTS.max_support)
-    p.add_argument("--em-iters", type=int, default=_EM_DEFAULTS.em_iterations)
-    p.add_argument("--sweeps", type=int, default=_EM_DEFAULTS.mcmc_sweeps_per_estep)
-    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("estimate", help="property estimate from a sample file")
+    p = sub.add_parser("estimate", parents=[em], help="property estimate from a sample file")
     p.add_argument("--sample", required=True, help="input sample file")
     p.add_argument("--property", required=True, choices=PROPERTY_TAGS)
     p.add_argument("--estimator", default="empirical", choices=["empirical", "pml", "tpml"])
     p.add_argument("--alpha", type=float, default=None, help="renyi / power-sum order")
     p.add_argument("--coverage-m", type=int, default=None, help="coverage sample-size parameter")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--em-iters", type=int, default=_EM_DEFAULTS.em_iterations)
-    p.add_argument("--sweeps", type=int, default=_EM_DEFAULTS.mcmc_sweeps_per_estep)
-    p.add_argument("--max-support", type=int, default=_EM_DEFAULTS.max_support)
-    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("test-uniformity", help="run the PML uniformity tester")
+    p = sub.add_parser("test-uniformity", parents=[em], help="run the PML uniformity tester")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--sample", default=None, help="existing sample file to test")
     p.add_argument("--dist", default=None, help="family to simulate when no sample is given")
     p.add_argument("--n", type=int, default=None, help="sample size when simulating")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--em-iters", type=int, default=_EM_DEFAULTS.em_iterations)
-    p.add_argument("--sweeps", type=int, default=_EM_DEFAULTS.mcmc_sweeps_per_estep)
 
     p = sub.add_parser("bench", help="run an experiment grid from a config file")
     p.add_argument("--config", required=True)
@@ -81,13 +73,7 @@ def _build_parser() -> _Parser:
 
 
 def _em_config(args, seed: RngSeed) -> EmConfig:
-    """EM settings from the flags (test-uniformity has no --max-support)."""
-    return EmConfig(
-        em_iterations=args.em_iters,
-        max_support=getattr(args, "max_support", _EM_DEFAULTS.max_support),
-        mcmc_sweeps_per_estep=args.sweeps,
-        seed=seed,
-    )
+    return EmConfig(em_iterations=args.em_iters, mcmc_sweeps_per_estep=args.sweeps, seed=seed)
 
 
 def _cmd_sample(args) -> int:

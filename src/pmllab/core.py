@@ -196,7 +196,7 @@ class Profile:
 
     @classmethod
     def from_multiplicities(cls, mults: Iterable[int]) -> "Profile":
-        return cls(Counter(int(m) for m in mults))
+        return cls(Counter(mults))
 
     @classmethod
     def from_dense(cls, phis: Iterable[int]) -> "Profile":
@@ -212,10 +212,11 @@ class TruncatedProfile:
     n: int
 
     def __init__(self, t: int, prevalences: Iterable[int], n: int):
-        t = int(t)
+        t = _integer(t, "truncation index")
         if t < 1:
             raise ValueError("truncation index must be >= 1")
-        prevs = tuple(int(c) for c in prevalences)
+        n = _integer(n, "sample size n")
+        prevs = tuple(_integer(c, "prevalence") for c in prevalences)
         if len(prevs) != t:
             raise ValueError(f"expected {t} prevalences, got {len(prevs)}")
         if any(c < 0 for c in prevs):
@@ -225,7 +226,7 @@ class TruncatedProfile:
             raise ValueError(f"truncated mass {mass} exceeds sample size {n}")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "prevalences", prevs)
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
 
     def phi(self, i: int) -> int:
         return self.prevalences[i - 1] if 1 <= i <= self.t else 0

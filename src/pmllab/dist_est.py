@@ -111,19 +111,16 @@ def estimate_unsorted_l1(
         raise ValueError("alphabet smaller than the observed support")
     pml = approximate_pml(sample, k_hint=alphabet, cfg=cfg)
     assigned = denoise(pml, sample)
-    if alphabet is None:
+    unseen = 0 if alphabet is None else alphabet - len(assigned)
+    if not unseen:
+        # with every symbol of range(alphabet) seen, sorted(assigned) is that range
         total = math.fsum(assigned.values())
         return Distribution([assigned[s] / total for s in sorted(assigned)])
-    symbols = range(alphabet)
-    unseen = alphabet - len(assigned)
-    if not unseen:
-        total = math.fsum(assigned.values())
-        return Distribution([assigned[s] / total for s in symbols])
     miss = missing_mass_estimate(sample)
     share = miss / unseen
     seen_total = math.fsum(assigned.values())
     scale = (1.0 - miss) / seen_total
-    return Distribution([assigned[s] * scale if s in assigned else share for s in symbols])
+    return Distribution([assigned[s] * scale if s in assigned else share for s in range(alphabet)])
 
 
 def default_tpml_thresholds(n: int) -> tuple[float, float, float]:
@@ -171,7 +168,7 @@ def tpml_distribution(
     light = {s: c for s, c in sample.counts.items() if c <= t}
     if light:
         light_sample = Sample(light)
-        K = estimate_support(light_sample, cfg.max_support)
+        K = estimate_support(light_sample)
         scale = light_sample.n / n
         est = em_pml(profile_of(light_sample), K, cfg)
         p = est.as_array()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution, Sample
+from .core import Distribution, Sample, _integer
 
 _UINT64 = 2**64
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -32,9 +32,10 @@ class RngSeed:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < _UINT64:
+        seed = _integer(self.seed, "seed")
+        if not 0 <= seed < _UINT64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", seed)
 
     def derive(self, *indices: int) -> "RngSeed":
         """Child seed for a trial or grid cell.
@@ -52,7 +53,8 @@ class RngSeed:
 
 
 def as_seed(seed: "RngSeed | int") -> RngSeed:
-    return seed if isinstance(seed, RngSeed) else RngSeed(int(seed))
+    """``seed`` as an RngSeed; any other value goes through RngSeed's checks."""
+    return seed if isinstance(seed, RngSeed) else RngSeed(seed)
 
 
 class AliasTable:
@@ -90,10 +92,11 @@ def draw_sample(dist: Distribution, n: int, seed: "RngSeed | int") -> Sample:
 
     The same seed always yields the same sample.
     """
+    n = _integer(n, "sample size")
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     gen = as_seed(seed).generator()
-    counts = AliasTable(dist.probs).draw_counts(gen, int(n))
+    counts = AliasTable(dist.probs).draw_counts(gen, n)
     return Sample({int(s): int(c) for s, c in enumerate(counts) if c})
 
 

@@ -26,8 +26,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import Distribution, Profile, Sample, profile_of
-from .distributions import RngSeed
+from .core import Distribution, Profile, Sample, _integer, profile_of
+from .distributions import RngSeed, as_seed
 from .likelihood import _log_monomial_table, profile_probability
 
 #: Take the E-step exactly up to these sizes, sample beyond them.
@@ -44,23 +44,22 @@ _LOG_FLOOR = 1e-300
 #: Symbols with multiplicity at least this times ln(n)^2 count as frequent.
 _TAU_MULTIPLIER = 1.5
 
+#: Cap on the extrapolated support size; it never cuts below the distinct count.
+_MAX_SUPPORT = 10_000
+
 
 @dataclass(frozen=True)
 class EmConfig:
     """Knobs for the EM solver and the surrounding pipeline."""
 
     em_iterations: int = 30
-    max_support: int = 10000
     mcmc_sweeps_per_estep: int = 60
     seed: RngSeed = field(default_factory=RngSeed)
 
     def __post_init__(self):
-        if isinstance(self.seed, int):
-            object.__setattr__(self, "seed", RngSeed(self.seed))
+        object.__setattr__(self, "seed", as_seed(self.seed))
         if self.em_iterations < 0:
             raise ValueError("em_iterations must be >= 0")
-        if self.max_support < 1:
-            raise ValueError("max_support must be >= 1")
         if self.mcmc_sweeps_per_estep < 1:
             raise ValueError("mcmc_sweeps_per_estep must be >= 1")
 
@@ -101,22 +100,24 @@ def split_large(sample: Sample) -> SplitResult:
     return SplitResult(large, Sample(kept), math.fsum(large.values()))
 
 
-def estimate_support(sample: Sample, max_support: int = 10000) -> int:
+def estimate_support(sample: Sample) -> int:
     """Support-size estimate with alternating-sign smoothing of the profile.
 
     Each prevalence phi_j is weighted by 1 - (-(t-1))^j * Pr(L >= j) with
     t = ln(r) and L binomial over ceil(log2(r t^2 / (t-1)) / 2) trials at
     success probability 1/(t+1); binomial tails are exact pmf sums. The
-    result is rounded and clamped to [distinct count, max_support]. Samples
-    with fewer than 3 draws make t - 1 non-positive, so they fall back to
-    the distinct count.
+    result is max(distinct, min(round(est), _MAX_SUPPORT)) with
+    _MAX_SUPPORT = 10,000: the cap bounds only the extrapolated unseen
+    symbols, so every observed symbol keeps a support point. Samples with
+    fewer than 3 draws make t - 1 non-positive, so they fall back to the
+    distinct count.
     """
     if sample.n < 1:
         raise ValueError("need a non-empty sample")
     distinct = sample.distinct
     r = sample.n
     if r < 3:
-        return min(max(distinct, 1), max_support)
+        return distinct
     t = math.log(r)
     trials = math.ceil(0.5 * math.log2(r * t * t / (t - 1.0)))
     theta = 1.0 / (t + 1.0)
@@ -131,7 +132,7 @@ def estimate_support(sample: Sample, max_support: int = 10000) -> int:
         else:
             weight = 1.0
         est += weight * phi
-    return min(max(round(est), distinct), max_support)
+    return max(distinct, min(round(est), _MAX_SUPPORT))
 
 
 def _tilted_uniform(K: int) -> np.ndarray:
@@ -271,9 +272,10 @@ def _em_iterate(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig,
     # any smoothing there would break likelihood monotonicity.
     kappa = 1.0 / (K * profile.n)
     # the chain state: the multiplicity each support point holds, starting
-    # from the greedy matching (mults are descending)
+    # from the greedy matching (mults and the tilted uniform start are both
+    # descending)
     y = np.zeros(K)
-    y[np.argsort(-q, kind="stable")[: mults.size]] = mults
+    y[: mults.size] = mults
     window = min(_AVG_WINDOW, cfg.em_iterations)
     averaged = np.zeros(K)
     kept = 0
@@ -294,7 +296,7 @@ def _em_iterate(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig,
 
 
 def _em_run(profile: Profile, K: int, cfg: EmConfig, record_likelihood: bool):
-    K = int(K)
+    K = _integer(K, "support size")
     if K < 1:
         raise ValueError("support size must be >= 1")
     mults = np.asarray(profile.multiplicities(), dtype=float)
@@ -305,16 +307,15 @@ def _em_run(profile: Profile, K: int, cfg: EmConfig, record_likelihood: bool):
         dist = Distribution(_tilted_uniform(K))
         trace = [profile_probability(dist, profile)] if record_likelihood else []
         return dist, trace
-    exact = m <= _EXACT_M_LIMIT and K <= _EXACT_K_LIMIT
+    if m > _EXACT_M_LIMIT or K > _EXACT_K_LIMIT:
+        return _em_iterate(profile, mults, K, cfg, _tilted_uniform(K), False, record_likelihood)
     starts = [_tilted_uniform(K)]
-    if exact and K >= 2:
+    if K >= 2:
         # desk scale is cheap enough to certify both basins by likelihood
         starts.append(_empirical_start(mults, K))
-    if len(starts) == 1:
-        return _em_iterate(profile, mults, K, cfg, starts[0], exact, record_likelihood)
     best = None
     for q0 in starts:
-        dist, trace = _em_iterate(profile, mults, K, cfg, q0, exact, record_likelihood)
+        dist, trace = _em_iterate(profile, mults, K, cfg, q0, True, record_likelihood)
         score = trace[-1] if record_likelihood else profile_probability(dist, profile)
         if best is None or score > best[0]:
             best = (score, dist, trace)
@@ -358,10 +359,12 @@ def approximate_pml(
     cfg = cfg or EmConfig()
     if sample.n < 2:
         raise ValueError("need at least two draws")
+    if k_hint is not None:
+        k_hint = _integer(k_hint, "alphabet hint")
     split = split_large(sample)
     reduced = split.reduced_sample
     big = sorted(split.large_symbols)
-    if k_hint is not None and int(k_hint) < len(big) + reduced.distinct:
+    if k_hint is not None and k_hint < len(big) + reduced.distinct:
         raise ValueError(
             f"alphabet hint {k_hint} is smaller than the {len(big) + reduced.distinct} "
             "distinct symbols observed"
@@ -369,9 +372,9 @@ def approximate_pml(
     parts = []
     if reduced.n:
         if k_hint is not None:
-            K = int(k_hint) - len(big)
+            K = k_hint - len(big)
         else:
-            K = estimate_support(reduced, cfg.max_support)
+            K = estimate_support(reduced)
         scale = 1.0 - split.removed_mass
         parts.append(scale * em_pml(profile_of(reduced), K, cfg).as_array())
     parts.append(np.array([split.large_symbols[s] for s in big], dtype=float))

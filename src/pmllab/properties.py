@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution, Profile, Sample, profile_of
+from .core import Distribution, Profile, Sample, _integer, profile_of
 
 PROPERTY_TAGS = ("entropy", "renyi", "support", "coverage", "dist_uniform", "power_sum")
 
@@ -61,7 +61,7 @@ def empirical_distribution(sample: Sample, k: int | None = None) -> Distribution
         raise ValueError("need a non-empty sample")
     if k is None:
         return Distribution([sample.counts[s] / sample.n for s in sorted(sample.counts)])
-    k = int(k)
+    k = _integer(k, "alphabet size")
     if max(sample.counts) >= k:
         raise ValueError(f"alphabet size {k} does not cover symbol {max(sample.counts)}")
     vec = [0.0] * k
@@ -130,7 +130,7 @@ def falling_factorial_power_sum(sample: Sample, alpha: int) -> float:
     Sums mu^(falling alpha) / n^(falling alpha) over symbols; multiplicities
     below alpha contribute nothing.
     """
-    alpha = int(alpha)
+    alpha = _integer(alpha, "order")
     if alpha < 2:
         raise ValueError(f"order must be an integer >= 2, got {alpha}")
     if sample.n < alpha:

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .core import Distribution, Sample
+from .core import Distribution, Sample, _integer
 
 
 def t_pml_test(sample: Sample, k: int, epsilon: float, pml: Distribution) -> int:
@@ -23,7 +23,7 @@ def t_pml_test(sample: Sample, k: int, epsilon: float, pml: Distribution) -> int
     distribution instead gives the oracle mode, which separates tester
     logic errors from PML approximation error.
     """
-    k = int(k)
+    k = _integer(k, "alphabet size")
     if k < 1:
         raise ValueError(f"alphabet size must be >= 1, got {k}")
     if not 0.0 < epsilon < 2.0:

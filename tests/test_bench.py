@@ -1,6 +1,7 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pmllab import Distribution, EmConfig, RngSeed, Sample, make
@@ -132,6 +133,11 @@ class TestConfig:
         cfg = ExperimentConfig(task="entropy", distributions=("uniform",), k=10, n_grid=(100,))
         seed = RngSeed(4)
         assert cfg.em_config(seed) == EmConfig(seed=seed)
+
+    def test_numpy_integer_seed_coerced(self):
+        cfg = ExperimentConfig(task="entropy", distributions=("uniform",), k=10, n_grid=(100,),
+                               seed=np.int64(5))
+        assert cfg.seed == RngSeed(5)
 
     def test_unknown_key(self):
         with pytest.raises(ValueError):

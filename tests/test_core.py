@@ -7,15 +7,27 @@ import pytest
 
 from pmllab import (
     Distribution,
+    EmConfig,
     Profile,
+    RngSeed,
     Sample,
+    TruncatedProfile,
+    approximate_pml,
+    draw_sample,
+    em_pml,
+    empirical_distribution,
+    falling_factorial_power_sum,
     lp_distance,
+    make,
     profile_of,
     remd_truncated,
     sorted_l1,
+    t_pml_test,
     truncate_profile,
     wasserstein1_multiset,
 )
+from pmllab.bench import ExperimentConfig
+from pmllab.distributions import as_seed
 
 
 def random_distribution(rng, k):
@@ -258,3 +270,37 @@ class TestRemdTruncated:
         p = Distribution([1.0])
         with pytest.raises(ValueError):
             remd_truncated(p, p, 1.5)
+
+
+_SMALL = Sample({0: 3, 1: 2, 2: 1})
+
+#: (call, an integral value it accepts); the call must refuse that value plus 0.5
+_INTEGER_BOUNDARIES = {
+    "RngSeed": (RngSeed, 2),
+    "as_seed": (as_seed, 2),
+    "power_sum_order": (lambda x: falling_factorial_power_sum(_SMALL, x), 2),
+    "from_multiplicities": (lambda x: Profile.from_multiplicities([x, 2]), 1),
+    "truncated_t": (lambda x: TruncatedProfile(x, [1, 1], 10), 2),
+    "truncated_prevalence": (lambda x: TruncatedProfile(2, [x, 1], 10), 1),
+    "truncated_n": (lambda x: TruncatedProfile(2, [1, 1], x), 10),
+    "draw_sample_n": (lambda x: draw_sample(make("uniform", 5), x, RngSeed(1)), 20),
+    "experiment_n_grid": (
+        lambda x: ExperimentConfig(task="entropy", distributions=("uniform",), k=10, n_grid=(x,)),
+        100,
+    ),
+    "experiment_k": (
+        lambda x: ExperimentConfig(task="entropy", distributions=("uniform",), k=x, n_grid=(100,)),
+        10,
+    ),
+    "em_pml_K": (lambda x: em_pml(profile_of(_SMALL), x, EmConfig(em_iterations=3)), 4),
+    "approximate_pml_k_hint": (lambda x: approximate_pml(_SMALL, x, EmConfig(em_iterations=3)), 4),
+    "empirical_k": (lambda x: empirical_distribution(_SMALL, x), 4),
+    "t_pml_test_k": (lambda x: t_pml_test(_SMALL, x, 0.5, make("uniform", 4)), 4),
+}
+
+
+@pytest.mark.parametrize("call, value", list(_INTEGER_BOUNDARIES.values()), ids=list(_INTEGER_BOUNDARIES))
+def test_fractional_integers_refused(call, value):
+    with pytest.raises(ValueError, match="integer"):
+        call(value + 0.5)
+    assert call(float(value)) == call(np.int64(value)) == call(value)

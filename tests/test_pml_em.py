@@ -18,10 +18,12 @@ from pmllab import (
     estimate_support,
     exact_pml_oracle,
     make,
+    plug_in,
     profile_of,
     sample_of_profile,
     sorted_l1,
     split_large,
+    tpml_distribution,
 )
 from pmllab.pml_em import _exact_estep_mass, _mcmc_estep_mass, split_threshold
 
@@ -30,18 +32,17 @@ class TestEmConfig:
     def test_defaults(self):
         cfg = EmConfig()
         assert cfg.em_iterations == 30
-        assert cfg.max_support == 10000
+        assert cfg.mcmc_sweeps_per_estep == 60
 
     def test_validation(self):
         with pytest.raises(ValueError):
             EmConfig(em_iterations=-1)
         with pytest.raises(ValueError):
-            EmConfig(max_support=0)
-        with pytest.raises(ValueError):
             EmConfig(mcmc_sweeps_per_estep=0)
 
     def test_int_seed_coerced(self):
         assert EmConfig(seed=5).seed == RngSeed(5)
+        assert EmConfig(seed=np.int64(5)).seed == RngSeed(5)
 
     def test_split_threshold(self):
         # 1.5 * ln(10^4)^2 is about 127.2
@@ -90,9 +91,12 @@ class TestEstimateSupport:
             sample = Sample(counts)
             assert estimate_support(sample) >= sample.distinct
 
-    def test_max_support_cap(self):
-        sample = Sample({i: 1 for i in range(1000)})
-        assert estimate_support(sample, max_support=500) == 500
+    def test_cap_bounds_the_extrapolation(self):
+        # 3,000 singletons extrapolate to 15,821 points; the cap keeps 10,000
+        assert estimate_support(Sample({i: 1 for i in range(3000)})) == 10_000
+
+    def test_cap_never_cuts_below_distinct(self):
+        assert estimate_support(Sample({i: 1 for i in range(12_000)})) == 12_000
 
     def test_tiny_sample_falls_back_to_distinct(self):
         assert estimate_support(Sample({0: 1, 1: 1})) == 2
@@ -105,7 +109,7 @@ class TestEstimateSupport:
         theta = 1.0 / (t + 1.0)
         tail1 = 1.0 - (1.0 - theta) ** trials
         want = round((1.0 + (t - 1.0) * tail1) * r)
-        got = estimate_support(Sample({i: 1 for i in range(r)}), max_support=10**6)
+        got = estimate_support(Sample({i: 1 for i in range(r)}))
         assert got == want
 
     def test_well_sampled_uniform_recovers_k(self):
@@ -271,6 +275,25 @@ class TestApproximatePml:
             emp = empirical_distribution(sample)
             wins += sorted_l1(pml, truth) <= sorted_l1(emp, truth)
         assert wins >= 7
+
+
+_SINGLETONS = Sample({i: 1 for i in range(12_000)})
+
+
+@pytest.mark.parametrize(
+    "estimate, sample",
+    [
+        (lambda s: approximate_pml(s).k, _SINGLETONS),
+        (lambda s: tpml_distribution(s).k, _SINGLETONS),
+        (lambda s: plug_in(s, "support", "pml"), _SINGLETONS),
+        (lambda s: approximate_pml(s).k, draw_sample(make("uniform", 50_000), 30_000, RngSeed(1))),
+    ],
+    ids=["approximate_pml", "tpml_distribution", "plug_in_support", "uniform_k50000"],
+)
+def test_more_distinct_symbols_than_the_support_cap(estimate, sample):
+    # past 10,000 light distinct symbols every one of them still gets a point
+    assert sample.distinct > 10_000
+    assert estimate(sample) >= sample.distinct
 
 
 class TestSampleOfProfile:
