@@ -118,6 +118,9 @@ class ExperimentConfig:
         object.__setattr__(self, "distributions", tuple(self.distributions))
         object.__setattr__(self, "k", _integer(self.k, "k"))
         object.__setattr__(self, "n_grid", tuple(_integer(n, "n_grid entry") for n in self.n_grid))
+        object.__setattr__(self, "trials", _integer(self.trials, "trials"))
+        if self.coverage_m is not None:
+            object.__setattr__(self, "coverage_m", _integer(self.coverage_m, "coverage_m"))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")

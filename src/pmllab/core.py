@@ -191,7 +191,7 @@ class Profile:
         return tuple(out)
 
     def dense(self, length: int | None = None) -> tuple[int, ...]:
-        top = self.max_multiplicity if length is None else int(length)
+        top = self.max_multiplicity if length is None else _integer(length, "profile length")
         return tuple(self.phi(i) for i in range(1, top + 1))
 
     @classmethod

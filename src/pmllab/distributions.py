@@ -45,7 +45,7 @@ class RngSeed:
         """
         s = self.seed
         for ix in indices:
-            s = _splitmix64(s ^ (int(ix) % _UINT64))
+            s = _splitmix64(s ^ (_integer(ix, "seed index") % _UINT64))
         return RngSeed(s)
 
     def generator(self) -> np.random.Generator:

@@ -32,28 +32,31 @@ def _partition_coefficient(profile: Profile) -> int:
     return coef
 
 
-def _log_monomial_table(lp: np.ndarray, mults) -> np.ndarray:
-    """Log monomial symmetric polynomials of every sub-multiset of ``mults``.
+def _log_monomial_sums(lp: np.ndarray, mults):
+    """Log monomial symmetric polynomials of ``mults``, whole and less one symbol.
 
-    The table has one axis per distinct multiplicity v_g, in ascending
-    order, of length c_g + 1 where c_g is its count. Entry a is the log of
-    the sum, over the ways to give a_g distinct symbols multiplicity v_g for
-    every g, of prod p(s)^mult(s), with log probabilities ``lp``. One pass
-    over the symbols; each takes at most one multiplicity.
+    ``lp`` holds rows of log probabilities over the points (1-D: one row).
+    ``full[r]`` logs the sum, over the ways to give c_g distinct points each
+    multiplicity ``vals[g]`` (ascending), of exp(sum_s mult(s) * lp[r, s]);
+    ``short[r, g]`` has c_g - 1 for c_g. One pass over the points fills a
+    table with a row axis and one axis of length c_g + 1 per group.
     """
+    lp = np.atleast_2d(lp)
     vals, counts = np.unique(np.asarray(mults), return_counts=True)
     states = math.prod(int(c) + 1 for c in counts)
     if states > _MAX_DP_STATES:
         raise ValueError(f"instance too large: {states} dynamic-program states")
-    table = np.full(tuple(counts + 1), -np.inf)
-    table.flat[0] = 0.0
-    for lps in lp:
+    rows = (slice(None),)
+    table = np.full((lp.shape[0], *(counts + 1)), -np.inf)
+    table[rows + (0,) * counts.size] = 0.0
+    for lps in lp.T[(...,) + (None,) * counts.size]:
         prev = table.copy()
         for g, v in enumerate(vals):
-            dst = (slice(None),) * g + (slice(1, None),)
-            src = (slice(None),) * g + (slice(None, -1),)
+            dst = rows * (g + 1) + (slice(1, None),)
+            src = rows * (g + 1) + (slice(None, -1),)
             table[dst] = np.logaddexp(table[dst], prev[src] + v * lps)
-    return table
+    short = table[rows + tuple(counts[:, None] - np.eye(counts.size, dtype=int))]
+    return vals, table[rows + tuple(counts)], short
 
 
 def profile_probability(dist: Distribution, profile: Profile) -> float:
@@ -76,7 +79,7 @@ def profile_probability(dist: Distribution, profile: Profile) -> float:
     )
     p = dist.as_array()
     lp = np.log(p[p > 0.0])
-    return math.exp(log_coef + _log_monomial_table(lp, mults).flat[-1])
+    return math.exp(log_coef + _log_monomial_sums(lp, mults)[1][0])
 
 
 def profile_probability_bruteforce(dist: Distribution, profile: Profile) -> float:

@@ -7,14 +7,15 @@ on the remaining profile, then reassemble and renormalize.
 
 The EM treats the injective assignment of observed distinct symbols to
 output support points as the latent variable. The E-step is exact on small
-instances (the log-space dynamic program of the profile likelihood, run once
-per left-out support point) and Metropolis-sampled at scale. Symbols of
-equal multiplicity are exchangeable, so the sampled E-step runs its chain
-on the multiplicity each support point holds: one block of pairwise content
-exchanges per sweep covers both symbol swaps and moves to empty points. Its
-randomness is drawn once per E-step: one random slot order fixes which
-points meet, and one offset per sweep rotates the pairing. The M-step
-reweights each support point by its expected assigned multiplicity mass.
+instances (the log-space dynamic program of the profile likelihood, one
+pass over K + 1 rows: each support point left out, then none) and
+Metropolis-sampled at scale. Symbols of equal multiplicity are
+exchangeable, so the sampled E-step runs its chain on the multiplicity each
+support point holds: one block of pairwise content exchanges per sweep
+covers both symbol swaps and moves to empty points. Its randomness is drawn
+once per E-step: one random slot order fixes which points meet, and one
+offset per sweep rotates the pairing. The M-step reweights each support
+point by its expected assigned multiplicity mass.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .core import Distribution, Profile, Sample, _integer, profile_of
 from .distributions import RngSeed, as_seed
-from .likelihood import _log_monomial_table, profile_probability
+from .likelihood import _log_monomial_sums, profile_probability
 
 #: Take the E-step exactly up to these sizes, sample beyond them.
 _EXACT_M_LIMIT = 8
@@ -162,18 +163,14 @@ def _exact_estep_mass(q: np.ndarray, mults: np.ndarray, K: int) -> np.ndarray:
 
     Point s hosts a symbol of multiplicity v with probability q_s^v times
     the monomial sum of the rest of the multiset over the other points,
-    divided by the monomial sum of the whole multiset over all points.
+    divided by the monomial sum of the whole multiset over all points. One
+    pass of the dynamic program gives both, over K + 1 rows of log q: row s
+    leaves point s out (log q_s = -inf) and the last row keeps every point.
     """
     lq = np.log(np.maximum(q, _LOG_FLOOR))
-    vals, counts = np.unique(mults, return_counts=True)
-    # index of the sub-count vector c - e_g, for every group g
-    drop = tuple((counts - np.eye(len(vals), dtype=int)).T)
-    total = _log_monomial_table(lq, mults).flat[-1]
-    mass = np.empty(K)
-    for s in range(K):
-        rest = _log_monomial_table(np.delete(lq, s), mults)[drop]
-        mass[s] = vals @ np.exp(vals * lq[s] + rest - total)
-    return mass
+    rows = np.where(np.eye(K + 1, K, dtype=bool), -np.inf, lq)
+    vals, full, short = _log_monomial_sums(rows, mults)
+    return np.exp(vals * lq[:, None] + short[:K] - full[K]) @ vals
 
 
 @np.errstate(divide="ignore")  # np.log of a uniform draw of exactly 0.0

@@ -278,6 +278,8 @@ _SMALL = Sample({0: 3, 1: 2, 2: 1})
 _INTEGER_BOUNDARIES = {
     "RngSeed": (RngSeed, 2),
     "as_seed": (as_seed, 2),
+    "derive_index": (lambda x: RngSeed(1).derive(x), 2),
+    "profile_dense": (lambda x: Profile({1: 2, 2: 1, 3: 1}).dense(x), 2),
     "power_sum_order": (lambda x: falling_factorial_power_sum(_SMALL, x), 2),
     "from_multiplicities": (lambda x: Profile.from_multiplicities([x, 2]), 1),
     "truncated_t": (lambda x: TruncatedProfile(x, [1, 1], 10), 2),
@@ -287,6 +289,16 @@ _INTEGER_BOUNDARIES = {
     "experiment_n_grid": (
         lambda x: ExperimentConfig(task="entropy", distributions=("uniform",), k=10, n_grid=(x,)),
         100,
+    ),
+    "experiment_trials": (
+        lambda x: ExperimentConfig(task="entropy", distributions=("uniform",), k=10, n_grid=(100,), trials=x),
+        3,
+    ),
+    "experiment_coverage_m": (
+        lambda x: ExperimentConfig(
+            task="coverage", distributions=("uniform",), k=10, n_grid=(100,), coverage_m=x
+        ),
+        2,
     ),
     "experiment_k": (
         lambda x: ExperimentConfig(task="entropy", distributions=("uniform",), k=x, n_grid=(100,)),

@@ -13,7 +13,7 @@ from pmllab import (
     profile_probability,
     profile_probability_bruteforce,
 )
-from pmllab.likelihood import _MAX_DP_STATES, _profile_prob_batch
+from pmllab.likelihood import _MAX_DP_STATES, _log_monomial_sums, _profile_prob_batch
 
 
 def random_distribution(rng, k):
@@ -95,6 +95,41 @@ class TestProfileProbability:
                     continue
                 got = _profile_prob_batch(pts, prof)[0]
                 assert got == pytest.approx(profile_probability(d, prof), abs=1e-12)
+
+
+def _dp_instances():
+    """Seeded rows of log probabilities (K <= 10 points, m <= 8 symbols),
+    with one entry at 1e-320 per instance."""
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        K = int(rng.integers(1, 11))
+        mults = rng.integers(1, 5, size=int(rng.integers(1, min(K, 8) + 1)))
+        q = rng.random((3, K)) + 1e-3
+        q[rng.integers(3), rng.integers(K)] = 1e-320
+        yield np.log(q / q.sum(axis=1, keepdims=True)), mults
+
+
+def _same_bits(got, want):
+    return all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(got, want))
+
+
+class TestLogMonomialSums:
+    """The exact E-step runs the DP once over many rows; each row must give
+    the bits of a run on that row alone."""
+
+    def test_batched_rows_equal_single_rows(self):
+        for lp, mults in _dp_instances():
+            vals, full, short = _log_monomial_sums(lp, mults)
+            for r, row in enumerate(lp):
+                assert _same_bits((vals, full[r:r + 1], short[r:r + 1]), _log_monomial_sums(row, mults))
+
+    def test_minus_inf_point_equals_deleted_point(self):
+        for lp, mults in _dp_instances():
+            for s in range(lp.shape[1]):
+                cut = lp[0].copy()
+                cut[s] = -np.inf
+                want = _log_monomial_sums(np.delete(lp[0], s), mults)
+                assert _same_bits(_log_monomial_sums(cut, mults), want)
 
 
 class TestBruteforceGuard:
