@@ -134,6 +134,17 @@ class Sample:
     def multiplicity(self, symbol: int) -> int:
         return self.counts.get(symbol, 0)
 
+    def rarer_than(self, bound: float) -> "Sample":
+        """The symbols seen fewer than ``bound`` times, in this sample's order.
+
+        Their counts are valid already, so they are not checked again.
+        """
+        kept = {s: c for s, c in self.counts.items() if c < bound}
+        sub = object.__new__(Sample)
+        object.__setattr__(sub, "counts", MappingProxyType(kept))
+        object.__setattr__(sub, "n", sum(kept.values()))
+        return sub
+
 
 @dataclass(frozen=True, eq=False)
 class Profile:

@@ -165,9 +165,8 @@ def tpml_distribution(
     t = math.floor(alpha_n)
 
     entries: list[float] = []
-    light = {s: c for s, c in sample.counts.items() if c <= t}
-    if light:
-        light_sample = Sample(light)
+    light_sample = sample.rarer_than(t + 1)
+    if light_sample.n:
         K = estimate_support(light_sample)
         scale = light_sample.n / n
         est = em_pml(profile_of(light_sample), K, cfg)

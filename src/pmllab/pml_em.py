@@ -59,6 +59,10 @@ class EmConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", as_seed(self.seed))
+        object.__setattr__(self, "em_iterations", _integer(self.em_iterations, "em_iterations"))
+        object.__setattr__(
+            self, "mcmc_sweeps_per_estep", _integer(self.mcmc_sweeps_per_estep, "mcmc_sweeps_per_estep")
+        )
         if self.em_iterations < 0:
             raise ValueError("em_iterations must be >= 0")
         if self.mcmc_sweeps_per_estep < 1:
@@ -90,15 +94,8 @@ def split_large(sample: Sample) -> SplitResult:
     if sample.n < 2:
         raise ValueError("need at least two draws")
     tau = split_threshold(sample.n)
-    large: dict[int, float] = {}
-    kept: dict[int, int] = {}
-    for sym in sorted(sample.counts):
-        mult = sample.counts[sym]
-        if mult >= tau:
-            large[sym] = mult / sample.n
-        else:
-            kept[sym] = mult
-    return SplitResult(large, Sample(kept), math.fsum(large.values()))
+    large = {s: c / sample.n for s, c in sorted(sample.counts.items()) if c >= tau}
+    return SplitResult(large, sample.rarer_than(tau), math.fsum(large.values()))
 
 
 def estimate_support(sample: Sample) -> int:
@@ -220,14 +217,20 @@ def _mcmc_estep_mass(
     np.log(logu, out=logu)  # in place: this is the E-step's largest array
     za = w[:half]
     acc = np.zeros(K)
-    for t in range(steps):
-        r = at[t]
+    # per-sweep work arrays, allocated once per call
+    step = np.empty(half)
+    gain = np.empty(half)
+    ok = np.empty(half, dtype=bool)
+    for t, r in enumerate(at.tolist()):
         e = r + half
         zb = w[half + r : half + e]
         # Accepted exchanges are applied as a blend without branches, which
         # beats np.where on random masks.
-        step = zb - za
-        step *= logu[t] < step * (la - lb_twice[r:e])
+        np.subtract(zb, za, out=step)
+        np.subtract(la, lb_twice[r:e], out=gain)
+        gain *= step
+        np.less(logu[t], gain, out=ok)
+        step *= ok
         za += step
         zb -= step
         wrap = e - nb

@@ -304,6 +304,20 @@ _INTEGER_BOUNDARIES = {
         lambda x: ExperimentConfig(task="entropy", distributions=("uniform",), k=x, n_grid=(100,)),
         10,
     ),
+    "experiment_em_iterations": (
+        lambda x: ExperimentConfig(
+            task="entropy", distributions=("uniform",), k=10, n_grid=(100,), em_iterations=x
+        ),
+        2,
+    ),
+    "experiment_mcmc_sweeps": (
+        lambda x: ExperimentConfig(
+            task="entropy", distributions=("uniform",), k=10, n_grid=(100,), mcmc_sweeps=x
+        ),
+        2,
+    ),
+    "em_config_em_iterations": (lambda x: EmConfig(em_iterations=x), 2),
+    "em_config_mcmc_sweeps": (lambda x: EmConfig(mcmc_sweeps_per_estep=x), 2),
     "em_pml_K": (lambda x: em_pml(profile_of(_SMALL), x, EmConfig(em_iterations=3)), 4),
     "approximate_pml_k_hint": (lambda x: approximate_pml(_SMALL, x, EmConfig(em_iterations=3)), 4),
     "empirical_k": (lambda x: empirical_distribution(_SMALL, x), 4),

@@ -69,6 +69,17 @@ def test_profile_mass_identity(counts):
 
 
 @_examples
+@given(counts=_counts, bound=st.one_of(st.integers(0, 10), st.floats(0.0, 10.0)))
+def test_rarer_than_is_the_checked_sub_sample(counts, bound):
+    sample = Sample(counts)
+    want = Sample({s: c for s, c in sample.counts.items() if c < bound})
+    got = sample.rarer_than(bound)
+    assert got == want
+    assert list(got.counts.items()) == list(want.counts.items())
+    assert got.n == want.n
+
+
+@_examples
 @given(pair=_distribution_pair())
 def test_sorted_l1_is_k_times_wasserstein(pair):
     p, q = pair

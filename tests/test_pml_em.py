@@ -25,7 +25,7 @@ from pmllab import (
     split_large,
     tpml_distribution,
 )
-from pmllab.pml_em import _exact_estep_mass, _mcmc_estep_mass, split_threshold
+from pmllab.pml_em import _LOG_FLOOR, _exact_estep_mass, _mcmc_estep_mass, split_threshold
 
 
 class TestEmConfig:
@@ -210,6 +210,67 @@ class TestEmPml:
                 assert np.array_equal(np.sort(y), held)
                 assert mass.sum() == pytest.approx(mults.sum(), rel=1e-12)
                 np.testing.assert_allclose(mass * 7, np.round(mass * 7), rtol=0, atol=1e-9)
+
+    @staticmethod
+    @np.errstate(divide="ignore")
+    def _allocating_estep_mass(q, y, sweeps, gen, burn):
+        """The sweep written with fresh arrays per sweep, as a reference for
+        the buffered loop; also counts the sweeps whose window wraps."""
+        K = int(y.size)
+        steps = sweeps + burn
+        order = gen.permutation(K)
+        half = K // 2
+        nb = K - half
+        w = y[np.concatenate((order, order[half:]))]
+        lw = np.log(np.maximum(q[order], _LOG_FLOOR))
+        la = lw[:half]
+        lb_twice = np.tile(lw[half:], 2)
+        at = gen.integers(nb, size=steps)
+        logu = gen.random((steps, half))
+        np.log(logu, out=logu)
+        za = w[:half]
+        acc = np.zeros(K)
+        wraps = 0
+        for t in range(steps):
+            r = at[t]
+            e = r + half
+            zb = w[half + r : half + e]
+            step = zb - za
+            step *= logu[t] < step * (la - lb_twice[r:e])
+            za += step
+            zb -= step
+            wrap = e - nb
+            if wrap > 0:
+                wraps += 1
+                w[half : half + wrap] = w[K : K + wrap]
+            w[K:] = w[half:K]
+            if t >= burn:
+                acc += w[:K]
+        y[order] = w[:K]
+        mass = np.empty(K)
+        mass[order] = acc / sweeps
+        return mass, wraps
+
+    def test_mcmc_estep_matches_the_allocating_sweep_bit_for_bit(self):
+        # odd and even K, K = m and K > m, with and without burn-in, over
+        # three E-steps of one chain
+        wraps = 0
+        for i, (m, K, burn) in enumerate(((7, 7, 0), (6, 6, 3), (5, 8, 2), (4, 11, 0), (40, 55, 5),
+                                           (41, 90, 0), (1, 3, 1), (2, 2, 0), (1, 1, 2))):
+            rng = np.random.default_rng(500 + i)
+            mults = np.sort(rng.integers(1, 9, m))[::-1].astype(float)
+            y = self._chain(mults, K, rng)
+            y_ref = y.copy()
+            gen = np.random.Generator(np.random.SFC64(i))
+            gen_ref = np.random.Generator(np.random.SFC64(i))
+            for _ in range(3):
+                q = rng.dirichlet(np.ones(K))
+                got = _mcmc_estep_mass(q, y, 13, gen, burn)
+                want, wrapped = self._allocating_estep_mass(q, y_ref, 13, gen_ref, burn)
+                wraps += wrapped
+                assert got.tobytes() == want.tobytes(), (m, K, burn)
+                assert y.tobytes() == y_ref.tobytes(), (m, K, burn)
+        assert wraps > 0
 
     def test_trace_at_large_n(self):
         # m=10 takes the sampled E-step, monotone only in expectation
