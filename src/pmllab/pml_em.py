@@ -266,7 +266,10 @@ def _em_iterate(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig,
             trace.append(profile_probability(dist, profile))
         return dist, trace
 
-    gen = cfg.seed.generator()
+    # One serial chain gains nothing from Philox's counter-based streams and
+    # pays about three times per word for them; SFC64 under the same seed
+    # draws the E-step's uniforms, sampling stays on Philox.
+    gen = np.random.Generator(np.random.SFC64(cfg.seed.seed))
     # The pseudo-count keeps support points that the sampled E-step missed
     # alive; the exact E-step gives every point positive mass already, and
     # any smoothing there would break likelihood monotonicity.

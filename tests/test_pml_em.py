@@ -190,7 +190,7 @@ class TestEmPml:
             rng = np.random.default_rng(300 + i)
             mults = np.sort(rng.integers(1, 5, m))[::-1].astype(float)
             q = rng.dirichlet(np.ones(K))
-            gen = np.random.default_rng(i)
+            gen = np.random.Generator(np.random.SFC64(i))
             got = _mcmc_estep_mass(q, self._chain(mults, K, gen), 20000, gen, 10)
             want = _exact_estep_mass(q, mults, K)
             assert np.abs(got - want).max() <= 0.01 * mults.sum(), (m, K)
@@ -202,7 +202,7 @@ class TestEmPml:
             rng = np.random.default_rng(400 + i)
             mults = np.sort(rng.integers(1, 9, m))[::-1].astype(float)
             held = np.sort(np.concatenate((mults, np.zeros(K - m))))
-            gen = np.random.default_rng(i)
+            gen = np.random.Generator(np.random.SFC64(i))
             y = self._chain(mults, K, gen)
             for _ in range(4):
                 q = rng.dirichlet(np.ones(K))
