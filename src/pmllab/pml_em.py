@@ -14,8 +14,11 @@ exchangeable, so the sampled E-step runs its chain on the multiplicity each
 support point holds: one block of pairwise content exchanges per sweep
 covers both symbol swaps and moves to empty points. Its randomness is drawn
 once per E-step: one random slot order fixes which points meet, and one
-offset per sweep rotates the pairing. The M-step reweights each support
-point by its expected assigned multiplicity mass.
+offset per sweep rotates the pairing. That randomness comes from an SFC64
+generator under the EM seed, not from the Philox streams of sampling: one
+serial chain needs no counter-based streams, and SFC64 draws its uniforms
+about three times as fast. The M-step reweights each support point by its
+expected assigned multiplicity mass.
 """
 
 from __future__ import annotations
@@ -191,10 +194,12 @@ def _mcmc_estep_mass(
 
     The pairing is drawn once per E-step. One random slot order splits the
     points into halves A and B; sweep t pairs A[i] with B[(i + r_t) mod |B|].
-    The offsets and all acceptance uniforms come from one draw each. No
-    point sits out a whole E-step (with odd K, one B point rests per
-    sweep), and over the sweeps every A x B pair can be proposed; those
-    transpositions reach every arrangement of the contents.
+    The offsets and all acceptance uniforms come from one draw each of
+    ``gen`` (SFC64 on the EM path). No point sits out a whole E-step (with
+    odd K, one B point rests per sweep), and over the sweeps every A x B
+    pair can be proposed; those transpositions reach every arrangement of
+    the contents. Each sweep writes its differences, gains and acceptance
+    mask into three arrays of length K // 2 made once per call.
 
     ``y`` is the chain state and is advanced in place, so the chain
     persists across E-steps. The mass sums integer-valued contents, so it
@@ -217,7 +222,6 @@ def _mcmc_estep_mass(
     np.log(logu, out=logu)  # in place: this is the E-step's largest array
     za = w[:half]
     acc = np.zeros(K)
-    # per-sweep work arrays, allocated once per call
     step = np.empty(half)
     gain = np.empty(half)
     ok = np.empty(half, dtype=bool)
