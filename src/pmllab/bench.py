@@ -121,6 +121,7 @@ class ExperimentConfig:
         object.__setattr__(self, "trials", _integer(self.trials, "trials"))
         object.__setattr__(self, "em_iterations", _integer(self.em_iterations, "em_iterations"))
         object.__setattr__(self, "mcmc_sweeps", _integer(self.mcmc_sweeps, "mcmc_sweeps"))
+        self.em_config(self.seed)  # EmConfig owns the range rules of the EM settings
         if self.coverage_m is not None:
             object.__setattr__(self, "coverage_m", _integer(self.coverage_m, "coverage_m"))
         object.__setattr__(self, "estimators", tuple(self.estimators))

@@ -34,13 +34,18 @@ def weighted_median(values, weights) -> float:
         raise ValueError("values and weights must be non-empty and equally long")
     if (w < 0).any():
         raise ValueError("weights must be non-negative")
-    total = w.sum()
-    if total <= 0.0:
+    if w.sum() <= 0.0:
         raise ValueError("weights must not all be zero")
     order = np.argsort(v, kind="stable")
-    cum = np.cumsum(w[order])
-    idx = int(np.searchsorted(cum, 0.5 * total, side="left"))
-    return float(v[order][idx])
+    return _sorted_weighted_median(v[order], order, w)
+
+
+def _sorted_weighted_median(sorted_values, order, weights) -> float:
+    """:func:`weighted_median` of ``sorted_values[i] = values[order[i]]``,
+    without checks, for callers that sort once and weigh many times."""
+    cum = np.cumsum(weights[order])
+    idx = int(np.searchsorted(cum, 0.5 * weights.sum(), side="left"))
+    return float(sorted_values[idx])
 
 
 def denoise(pml_vector: Distribution, sample: Sample) -> dict[int, float]:
@@ -74,6 +79,8 @@ def denoise(pml_vector: Distribution, sample: Sample) -> dict[int, float]:
     neg_inf = np.full(arr.shape, -np.inf)
     log_v = np.log(arr, out=neg_inf.copy(), where=arr > 0.0)
     log_1mv = np.log1p(-arr, out=neg_inf.copy(), where=arr < 1.0)
+    order = np.argsort(arr, kind="stable")
+    sorted_pool = arr[order]
 
     value_for: dict[int, float] = {}
     for mult in sorted(set(sample.counts.values())):
@@ -87,7 +94,7 @@ def denoise(pml_vector: Distribution, sample: Sample) -> dict[int, float]:
         if top == -np.inf:
             value_for[mult] = mult / n  # pool fully depleted at small n
             continue
-        value_for[mult] = weighted_median(arr, np.exp(logw - top))
+        value_for[mult] = _sorted_weighted_median(sorted_pool, order, np.exp(logw - top))
     return {sym: value_for[mult] for sym, mult in sample.counts.items()}
 
 

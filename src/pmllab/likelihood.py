@@ -2,7 +2,10 @@
 
 The probability of observing a given profile comes from a log-space dynamic
 program over the remaining count per multiplicity group, which the exact
-E-step of the EM solver shares. Alongside it are desk-scale ground truths:
+E-step of the EM solver shares. Its tables are small, so a pass costs NumPy
+calls more than arithmetic: each call builds its views and buffers once and
+runs two in-place ufunc calls per point and group. Alongside it are
+desk-scale ground truths:
 exhaustive enumeration oracles and a grid-search maximizer used to validate
 the EM solver.
 """
@@ -32,31 +35,55 @@ def _partition_coefficient(profile: Profile) -> int:
     return coef
 
 
-def _log_monomial_sums(lp: np.ndarray, mults):
-    """Log monomial symmetric polynomials of ``mults``, whole and less one symbol.
+def _multiplicity_groups(profile: Profile) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct multiplicities (ascending, float) and the number of
+    symbols with each: the groups of :func:`_log_monomial_sums`."""
+    vals = sorted(profile.prevalences)
+    counts = [profile.prevalences[v] for v in vals]
+    return np.asarray(vals, dtype=float), np.asarray(counts, dtype=int)
 
-    ``lp`` holds rows of log probabilities over the points (1-D: one row).
-    ``full[r]`` logs the sum, over the ways to give c_g distinct points each
-    multiplicity ``vals[g]`` (ascending), of exp(sum_s mult(s) * lp[r, s]);
-    ``short[r, g]`` has c_g - 1 for c_g. One pass over the points fills a
-    table with a row axis and one axis of length c_g + 1 per group.
+
+def _log_monomial_sums(lp: np.ndarray, vals: np.ndarray, counts: np.ndarray):
+    """Log monomial symmetric polynomials of a multiset, whole and less one symbol.
+
+    The multiset has ``counts[g]`` symbols of multiplicity ``vals[g]``
+    (ascending). ``lp`` holds rows of log probabilities over the points
+    (1-D: one row). ``full[r]`` logs the sum, over the ways to give c_g
+    distinct points each multiplicity ``vals[g]``, of
+    exp(sum_s mult(s) * lp[r, s]); ``short[r, g]`` has c_g - 1 for c_g. One
+    pass over the points fills a table with a row axis and one axis of
+    length c_g + 1 per group.
+
+    The pass is almost all NumPy call overhead on small tables, so every
+    array it touches is made before it: the products vals x lp, each
+    group's view of the table and of the previous point's copy, and one
+    scratch buffer that every group reads through a view of its own shape
+    (one buffer per group would multiply the peak memory by up to G).
     """
     lp = np.atleast_2d(lp)
-    vals, counts = np.unique(np.asarray(mults), return_counts=True)
     states = math.prod(int(c) + 1 for c in counts)
     if states > _MAX_DP_STATES:
         raise ValueError(f"instance too large: {states} dynamic-program states")
+    groups = counts.size
     rows = (slice(None),)
     table = np.full((lp.shape[0], *(counts + 1)), -np.inf)
-    table[rows + (0,) * counts.size] = 0.0
-    for lps in lp.T[(...,) + (None,) * counts.size]:
-        prev = table.copy()
-        for g, v in enumerate(vals):
-            dst = rows * (g + 1) + (slice(1, None),)
-            src = rows * (g + 1) + (slice(None, -1),)
-            table[dst] = np.logaddexp(table[dst], prev[src] + v * lps)
-    short = table[rows + tuple(counts[:, None] - np.eye(counts.size, dtype=int))]
-    return vals, table[rows + tuple(counts)], short
+    table[rows + (0,) * groups] = 0.0
+    prev = np.empty_like(table)
+    scratch = np.empty(table.size)
+    dst, src, tmp = [], [], []
+    for g in range(groups):
+        dst.append(table[rows * (g + 1) + (slice(1, None),)])
+        src.append(prev[rows * (g + 1) + (slice(None, -1),)])
+        tmp.append(scratch[: src[g].size].reshape(src[g].shape))
+    # vl[s, g] is vals[g] * lp[:, s], shaped to broadcast over a group's view
+    vl = (lp.T[:, None, :] * vals[:, None])[(...,) + (None,) * groups]
+    for point in vl:
+        np.copyto(prev, table)
+        for d, s, t, v in zip(dst, src, tmp, point):
+            np.add(s, v, out=t)
+            np.logaddexp(d, t, out=d)
+    short = table[rows + tuple(counts[:, None] - np.eye(groups, dtype=int))]
+    return table[rows + tuple(counts)], short
 
 
 def profile_probability(dist: Distribution, profile: Profile) -> float:
@@ -67,19 +94,17 @@ def profile_probability(dist: Distribution, profile: Profile) -> float:
     cost grows with the product of (count + 1) over the distinct
     multiplicities, which is capped at ``_MAX_DP_STATES``.
     """
-    mults = profile.multiplicities()
-    if len(mults) > dist.k:
-        raise ValueError(
-            f"profile has {len(mults)} distinct symbols but the alphabet has {dist.k}"
-        )
-    if not mults:
+    m = profile.m
+    if m > dist.k:
+        raise ValueError(f"profile has {m} distinct symbols but the alphabet has {dist.k}")
+    if not m:
         return 1.0
     log_coef = math.lgamma(profile.n + 1) - sum(
         phi * math.lgamma(i + 1) for i, phi in profile.prevalences.items()
     )
     p = dist.as_array()
     lp = np.log(p[p > 0.0])
-    return math.exp(log_coef + _log_monomial_sums(lp, mults)[1][0])
+    return math.exp(log_coef + _log_monomial_sums(lp, *_multiplicity_groups(profile))[0][0])
 
 
 def profile_probability_bruteforce(dist: Distribution, profile: Profile) -> float:

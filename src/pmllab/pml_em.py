@@ -7,18 +7,20 @@ on the remaining profile, then reassemble and renormalize.
 
 The EM treats the injective assignment of observed distinct symbols to
 output support points as the latent variable. The E-step is exact on small
-instances (the log-space dynamic program of the profile likelihood, one
-pass over K + 1 rows: each support point left out, then none) and
-Metropolis-sampled at scale. Symbols of equal multiplicity are
-exchangeable, so the sampled E-step runs its chain on the multiplicity each
-support point holds: one block of pairwise content exchanges per sweep
-covers both symbol swaps and moves to empty points. Its randomness is drawn
-once per E-step: one random slot order fixes which points meet, and one
-offset per sweep rotates the pairing. That randomness comes from an SFC64
-generator under the EM seed, not from the Philox streams of sampling: one
-serial chain needs no counter-based streams, and SFC64 draws its uniforms
-about three times as fast. The M-step reweights each support point by its
-expected assigned multiplicity mass.
+instances (the log-space dynamic program of the profile likelihood, over
+K + 1 rows per start: each support point left out, then none) and
+Metropolis-sampled at scale. The exact path runs two starts, and they
+advance together: one pass of the program per EM iteration covers both.
+Symbols of equal multiplicity are exchangeable, so the sampled E-step runs
+its chain on the multiplicity each support point holds: one block of
+pairwise content exchanges per sweep covers both symbol swaps and moves to
+empty points. Its randomness is drawn once per E-step: one random slot
+order fixes which points meet, and one offset per sweep rotates the
+pairing. That randomness comes from an SFC64 generator under the EM seed,
+not from the Philox streams of sampling: one serial chain needs no
+counter-based streams, and SFC64 draws its uniforms about three times as
+fast. The M-step reweights each support point by its expected assigned
+multiplicity mass.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .core import Distribution, Profile, Sample, _integer, profile_of
 from .distributions import RngSeed, as_seed
-from .likelihood import _log_monomial_sums, profile_probability
+from .likelihood import _log_monomial_sums, _multiplicity_groups, profile_probability
 
 #: Take the E-step exactly up to these sizes, sample beyond them.
 _EXACT_M_LIMIT = 8
@@ -158,19 +160,25 @@ def _empirical_start(mults: np.ndarray, K: int) -> np.ndarray:
     return q / q.sum()
 
 
-def _exact_estep_mass(q: np.ndarray, mults: np.ndarray, K: int) -> np.ndarray:
-    """Expected multiplicity mass per support point, exactly.
+def _exact_estep_mass(q: np.ndarray, vals: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Expected multiplicity mass per support point, exactly, for each row
+    of ``q`` (S starts over K points).
 
     Point s hosts a symbol of multiplicity v with probability q_s^v times
     the monomial sum of the rest of the multiset over the other points,
     divided by the monomial sum of the whole multiset over all points. One
-    pass of the dynamic program gives both, over K + 1 rows of log q: row s
-    leaves point s out (log q_s = -inf) and the last row keeps every point.
+    pass of the dynamic program gives both for every start, over K + 1 rows
+    of log q per start: row s leaves point s out (log q_s = -inf) and the
+    last row keeps every point. ``vals`` and ``counts`` are the multiplicity
+    groups of the profile.
     """
     lq = np.log(np.maximum(q, _LOG_FLOOR))
-    rows = np.where(np.eye(K + 1, K, dtype=bool), -np.inf, lq)
-    vals, full, short = _log_monomial_sums(rows, mults)
-    return np.exp(vals * lq[:, None] + short[:K] - full[K]) @ vals
+    S, K = lq.shape
+    rows = np.where(np.eye(K + 1, K, dtype=bool), -np.inf, lq[:, None, :])
+    full, short = _log_monomial_sums(rows.reshape(S * (K + 1), K), vals, counts)
+    full = full.reshape(S, K + 1)[:, K, None, None]
+    short = short.reshape(S, K + 1, -1)[:, :K]
+    return np.exp(vals * lq[..., None] + short - full) @ vals
 
 
 @np.errstate(divide="ignore")  # np.log of a uniform draw of exactly 0.0
@@ -256,20 +264,41 @@ def _mcmc_estep_mass(
 _AVG_WINDOW = 20
 
 
-def _em_iterate(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig,
-                q: np.ndarray, exact: bool, record_likelihood: bool):
-    trace: list[float] = []
-    if exact:
-        for _ in range(cfg.em_iterations):
-            if record_likelihood:
-                trace.append(profile_probability(Distribution(q), profile))
-            mass = _exact_estep_mass(q, mults, K)
-            q = mass / mass.sum()
-        dist = Distribution(q)
+def _em_exact(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig,
+              record_likelihood: bool):
+    """EM with the exact E-step from the tilted uniform start and, when
+    K >= 2, the empirical one; the starts advance together, one pass of the
+    dynamic program per iteration, and the endpoint of higher likelihood
+    wins (the first on a tie)."""
+    vals, counts = _multiplicity_groups(profile)
+    starts = [_tilted_uniform(K)]
+    if K >= 2:
+        # desk scale is cheap enough to certify both basins by likelihood
+        starts.append(_empirical_start(mults, K))
+    q = np.stack(starts)
+    traces: list[list[float]] = [[] for _ in starts]
+    for _ in range(cfg.em_iterations):
         if record_likelihood:
-            trace.append(profile_probability(dist, profile))
-        return dist, trace
+            for trace, row in zip(traces, q):
+                trace.append(profile_probability(Distribution(row), profile))
+        mass = _exact_estep_mass(q, vals, counts)
+        q = mass / mass.sum(axis=1, keepdims=True)
+    best = None
+    for trace, row in zip(traces, q):
+        dist = Distribution(row)
+        score = profile_probability(dist, profile)
+        if record_likelihood:
+            trace.append(score)
+        if best is None or score > best[0]:
+            best = (score, dist, trace)
+    return best[1], best[2]
 
+
+def _em_sampled(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig,
+                record_likelihood: bool):
+    """EM with the sampled E-step from the tilted uniform start."""
+    q = _tilted_uniform(K)
+    trace: list[float] = []
     # One serial chain gains nothing from Philox's counter-based streams and
     # pays about three times per word for them; SFC64 under the same seed
     # draws the E-step's uniforms, sampling stays on Philox.
@@ -315,18 +344,8 @@ def _em_run(profile: Profile, K: int, cfg: EmConfig, record_likelihood: bool):
         trace = [profile_probability(dist, profile)] if record_likelihood else []
         return dist, trace
     if m > _EXACT_M_LIMIT or K > _EXACT_K_LIMIT:
-        return _em_iterate(profile, mults, K, cfg, _tilted_uniform(K), False, record_likelihood)
-    starts = [_tilted_uniform(K)]
-    if K >= 2:
-        # desk scale is cheap enough to certify both basins by likelihood
-        starts.append(_empirical_start(mults, K))
-    best = None
-    for q0 in starts:
-        dist, trace = _em_iterate(profile, mults, K, cfg, q0, True, record_likelihood)
-        score = trace[-1] if record_likelihood else profile_probability(dist, profile)
-        if best is None or score > best[0]:
-            best = (score, dist, trace)
-    return best[1], best[2]
+        return _em_sampled(profile, mults, K, cfg, record_likelihood)
+    return _em_exact(profile, mults, K, cfg, record_likelihood)
 
 
 def em_pml(profile: Profile, K: int, cfg: EmConfig | None = None) -> Distribution:

@@ -162,6 +162,10 @@ class TestConfig:
             ExperimentConfig(**{**base, "trials": 0})
         with pytest.raises(ValueError):
             ExperimentConfig(**{**base, "estimators": ("oracle",)})
+        with pytest.raises(ValueError, match="em_iterations"):
+            ExperimentConfig(**{**base, "em_iterations": -1})
+        with pytest.raises(ValueError, match="mcmc_sweeps"):
+            ExperimentConfig(**{**base, "mcmc_sweeps": 0})
         with pytest.raises(ValueError):
             ExperimentConfig(task="renyi", distributions=("uniform",), k=10, n_grid=(100,))
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,12 @@ from pmllab import (
     profile_probability,
     profile_probability_bruteforce,
 )
-from pmllab.likelihood import _MAX_DP_STATES, _log_monomial_sums, _profile_prob_batch
+from pmllab.likelihood import (
+    _MAX_DP_STATES,
+    _log_monomial_sums,
+    _multiplicity_groups,
+    _profile_prob_batch,
+)
 
 
 def random_distribution(rng, k):
@@ -113,23 +119,103 @@ def _same_bits(got, want):
     return all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(got, want))
 
 
+def _groups(mults):
+    return np.unique(mults, return_counts=True)
+
+
+def _reference_log_monomial_sums(lp, mults):
+    """The DP as first written, as a reference for the buffered pass: groups
+    from np.unique, a fresh copy of the table and fresh temporaries per
+    point."""
+    lp = np.atleast_2d(lp)
+    vals, counts = np.unique(np.asarray(mults), return_counts=True)
+    rows = (slice(None),)
+    table = np.full((lp.shape[0], *(counts + 1)), -np.inf)
+    table[rows + (0,) * counts.size] = 0.0
+    for lps in lp.T[(...,) + (None,) * counts.size]:
+        prev = table.copy()
+        for g, v in enumerate(vals):
+            dst = rows * (g + 1) + (slice(1, None),)
+            src = rows * (g + 1) + (slice(None, -1),)
+            table[dst] = np.logaddexp(table[dst], prev[src] + v * lps)
+    short = table[rows + tuple(counts[:, None] - np.eye(counts.size, dtype=int))]
+    return vals, table[rows + tuple(counts)], short
+
+
+def _reference_instances():
+    """Multiplicities with one group, six groups and a few in between, each
+    as int and as float, over 1-D rows and over E-step-like stacks that
+    hold -inf."""
+    rng = np.random.default_rng(47)
+    shapes = [[3], [1, 1, 1], [1, 2, 3, 4, 5, 6], [6, 5, 5, 3, 2, 2, 1, 4]]
+    shapes += [list(rng.integers(1, 5, size=int(rng.integers(1, 9)))) for _ in range(30)]
+    for mults in shapes:
+        K = int(rng.integers(len(mults), 11))
+        q = rng.random(K) + 1e-3
+        lq = np.log(q / q.sum())
+        stack = np.where(np.eye(K + 1, K, dtype=bool), -np.inf, lq)
+        for dtype in (int, float):
+            m = np.asarray(mults, dtype=dtype)
+            yield lq, m
+            yield stack, m
+
+
 class TestLogMonomialSums:
     """The exact E-step runs the DP once over many rows; each row must give
-    the bits of a run on that row alone."""
+    the bits of a run on that row alone, and the buffered pass the bits of
+    the pass that allocates per point."""
+
+    def test_matches_the_allocating_pass_bit_for_bit(self):
+        groups_seen = set()
+        for lp, mults in _reference_instances():
+            vals, full, short = _reference_log_monomial_sums(lp, mults)
+            got_vals, counts = _multiplicity_groups(Profile.from_multiplicities(mults.tolist()))
+            got_vals = got_vals.astype(mults.dtype)
+            got = (got_vals, *_log_monomial_sums(lp, got_vals, counts))
+            assert _same_bits(got, (vals, full, short)), (lp.shape, mults)
+            assert got_vals.dtype == vals.dtype
+            groups_seen.add(counts.size)
+        assert {1, 6} <= groups_seen
+
+    def test_profile_probability_matches_the_allocating_pass(self):
+        rng = random.Random(53)
+        for _ in range(30):
+            k = rng.randint(1, 9)
+            d = random_distribution(rng, k)
+            prof = Profile.from_multiplicities([rng.randint(1, 4) for _ in range(rng.randint(1, k))])
+            log_coef = math.lgamma(prof.n + 1) - sum(
+                phi * math.lgamma(i + 1) for i, phi in prof.prevalences.items()
+            )
+            full = _reference_log_monomial_sums(np.log(d.as_array()), prof.multiplicities())[1]
+            assert profile_probability(d, prof) == math.exp(log_coef + full[0])
 
     def test_batched_rows_equal_single_rows(self):
         for lp, mults in _dp_instances():
-            vals, full, short = _log_monomial_sums(lp, mults)
+            full, short = _log_monomial_sums(lp, *_groups(mults))
             for r, row in enumerate(lp):
-                assert _same_bits((vals, full[r:r + 1], short[r:r + 1]), _log_monomial_sums(row, mults))
+                assert _same_bits((full[r:r + 1], short[r:r + 1]), _log_monomial_sums(row, *_groups(mults)))
 
     def test_minus_inf_point_equals_deleted_point(self):
         for lp, mults in _dp_instances():
             for s in range(lp.shape[1]):
                 cut = lp[0].copy()
                 cut[s] = -np.inf
-                want = _log_monomial_sums(np.delete(lp[0], s), mults)
-                assert _same_bits(_log_monomial_sums(cut, mults), want)
+                want = _log_monomial_sums(np.delete(lp[0], s), *_groups(mults))
+                assert _same_bits(_log_monomial_sums(cut, *_groups(mults)), want)
+
+    def test_peak_memory_stays_near_the_table(self):
+        # 16 groups of one symbol: 2^16 states, a 512 KiB table. The pass
+        # keeps the table, the previous point's copy and one shared scratch
+        # buffer; a buffer per group would take several times the table.
+        prof = Profile({i: 1 for i in range(1, 17)})
+        table_bytes = 2**16 * 8
+        tracemalloc.start()
+        try:
+            profile_probability(make("uniform", 40), prof)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * table_bytes
 
 
 class TestBruteforceGuard:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pmllab import (
+    Distribution,
     EmConfig,
     Profile,
     RngSeed,
@@ -25,7 +26,15 @@ from pmllab import (
     split_large,
     tpml_distribution,
 )
-from pmllab.pml_em import _LOG_FLOOR, _exact_estep_mass, _mcmc_estep_mass, split_threshold
+from pmllab.likelihood import profile_probability
+from pmllab.pml_em import (
+    _LOG_FLOOR,
+    _empirical_start,
+    _exact_estep_mass,
+    _mcmc_estep_mass,
+    _tilted_uniform,
+    split_threshold,
+)
 
 
 class TestEmConfig:
@@ -173,9 +182,60 @@ class TestEmPml:
             for wi, p in zip(w, perms):
                 want[list(p)] += wi * mults
             want /= w.sum()
-            got = _exact_estep_mass(q, mults, K)
+            got = _exact_estep_mass(q[None], *np.unique(mults, return_counts=True))[0]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
             assert got.sum() == pytest.approx(mults.sum(), rel=1e-12)
+
+    def test_stacked_estep_equals_one_call_per_start(self):
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            K = int(rng.integers(1, 11))
+            mults = np.sort(rng.integers(1, 6, int(rng.integers(1, min(K, 8) + 1))))[::-1]
+            groups = np.unique(mults.astype(float), return_counts=True)
+            q = rng.dirichlet(np.ones(K), size=int(rng.integers(1, 4)))
+            q[0, -1] = 1e-320
+            got = _exact_estep_mass(q, *groups)
+            assert got.shape == q.shape
+            for row_got, row in zip(got, q):
+                assert row_got.tobytes() == _exact_estep_mass(row[None], *groups)[0].tobytes()
+
+    @staticmethod
+    def _sequential_starts(profile, K, cfg, record_likelihood):
+        """The exact path with each start run to the end before the next, as
+        a reference for the starts advancing together."""
+        mults = np.asarray(profile.multiplicities(), dtype=float)
+        groups = np.unique(mults, return_counts=True)
+        starts = [_tilted_uniform(K)] + ([_empirical_start(mults, K)] if K >= 2 else [])
+        best = None
+        for q in starts:
+            trace = []
+            for _ in range(cfg.em_iterations):
+                if record_likelihood:
+                    trace.append(profile_probability(Distribution(q), profile))
+                mass = _exact_estep_mass(q[None], *groups)[0]
+                q = mass / mass.sum()
+            dist = Distribution(q)
+            if record_likelihood:
+                trace.append(profile_probability(dist, profile))
+            score = trace[-1] if record_likelihood else profile_probability(dist, profile)
+            if best is None or score > best[0]:
+                best = (score, dist, trace)
+        return best[1], best[2]
+
+    def test_starts_advancing_together_match_sequential_starts(self):
+        rng = random.Random(61)
+        for K in range(1, 11):
+            for _ in range(6):
+                prof = Profile.from_multiplicities(
+                    [rng.randint(1, 5) for _ in range(rng.randint(1, min(K, 8)))]
+                )
+                cfg = EmConfig(em_iterations=rng.randint(1, 25))
+                want, want_trace = self._sequential_starts(prof, K, cfg, True)
+                got, got_trace = em_pml_trace(prof, K, cfg)
+                assert got.as_array().tobytes() == want.as_array().tobytes(), (K, prof)
+                assert got_trace == want_trace, (K, prof)
+                want = self._sequential_starts(prof, K, cfg, False)[0]
+                assert em_pml(prof, K, cfg).as_array().tobytes() == want.as_array().tobytes()
 
     @staticmethod
     def _chain(mults, K, gen):
@@ -192,7 +252,7 @@ class TestEmPml:
             q = rng.dirichlet(np.ones(K))
             gen = np.random.Generator(np.random.SFC64(i))
             got = _mcmc_estep_mass(q, self._chain(mults, K, gen), 20000, gen, 10)
-            want = _exact_estep_mass(q, mults, K)
+            want = _exact_estep_mass(q[None], *np.unique(mults, return_counts=True))[0]
             assert np.abs(got - want).max() <= 0.01 * mults.sum(), (m, K)
 
     def test_mcmc_chain_state_stays_a_matching(self):
