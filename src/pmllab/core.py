@@ -140,10 +140,16 @@ class Sample:
         Their counts are valid already, so they are not checked again.
         """
         kept = {s: c for s, c in self.counts.items() if c < bound}
-        sub = object.__new__(Sample)
-        object.__setattr__(sub, "counts", MappingProxyType(kept))
-        object.__setattr__(sub, "n", sum(kept.values()))
-        return sub
+        return Sample._unchecked(kept, sum(kept.values()))
+
+    @classmethod
+    def _unchecked(cls, counts: dict[int, int], n: int) -> "Sample":
+        """A sample over counts already known to be valid (int symbols >= 0,
+        int multiplicities >= 1, summing to n), built without checking them."""
+        sample = object.__new__(cls)
+        object.__setattr__(sample, "counts", MappingProxyType(counts))
+        object.__setattr__(sample, "n", n)
+        return sample
 
 
 @dataclass(frozen=True, eq=False)

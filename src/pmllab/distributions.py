@@ -1,8 +1,9 @@
 """The six benchmark distribution families and reproducible i.i.d. sampling.
 
-Sampling runs on Walker alias tables (O(1) per draw) over NumPy's Philox
-counter-based generator (Philox4x32-10, a fixed published algorithm), so
-million-draw trials are fast and a 64-bit seed alone pins the stream.
+The counts of n i.i.d. draws are multinomial(n, p), so a sample is one
+multinomial draw over NumPy's Philox counter-based generator
+(Philox4x32-10, a fixed published algorithm): it costs O(k) whatever n is,
+and a 64-bit seed alone pins the stream.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from .core import Distribution, Sample, _integer
 
 _UINT64 = 2**64
 _GOLDEN = 0x9E3779B97F4A7C15
+#: NumPy's multinomial counts in signed 64-bit integers.
+_MAX_DRAWS = 2**63
 
 
 def _splitmix64(x: int) -> int:
@@ -57,47 +60,22 @@ def as_seed(seed: "RngSeed | int") -> RngSeed:
     return seed if isinstance(seed, RngSeed) else RngSeed(seed)
 
 
-class AliasTable:
-    """Walker/Vose alias structure for O(1) categorical draws."""
-
-    def __init__(self, probs):
-        p = np.asarray(probs, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("need a non-empty probability vector")
-        k = p.size
-        scaled = (p / p.sum()) * k
-        self.k = k
-        self.accept = np.ones(k)
-        self.alias = np.arange(k, dtype=np.int64)
-        small = [i for i in range(k) if scaled[i] < 1.0]
-        large = [i for i in range(k) if scaled[i] >= 1.0]
-        while small and large:
-            s = small.pop()
-            g = large.pop()
-            self.accept[s] = scaled[s]
-            self.alias[s] = g
-            scaled[g] -= 1.0 - scaled[s]
-            (small if scaled[g] < 1.0 else large).append(g)
-        # float dust can leave columns unpaired; they keep accept = 1
-
-    def draw_counts(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        cols = gen.integers(0, self.k, size=n)
-        keep = gen.random(n) < self.accept[cols]
-        symbols = np.where(keep, cols, self.alias[cols])
-        return np.bincount(symbols, minlength=self.k)
-
-
 def draw_sample(dist: Distribution, n: int, seed: "RngSeed | int") -> Sample:
     """n i.i.d. draws from dist, returned as a multiplicity map.
 
-    The same seed always yields the same sample.
+    The same seed always yields the same sample. Time and memory are O(k),
+    whatever n is, up to ``n < 2**63``.
     """
     n = _integer(n, "sample size")
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
-    gen = as_seed(seed).generator()
-    counts = AliasTable(dist.probs).draw_counts(gen, n)
-    return Sample({int(s): int(c) for s, c in enumerate(counts) if c})
+    if not 1 <= n < _MAX_DRAWS:
+        raise ValueError(f"sample size must be in [1, 2**63), got {n}")
+    p = dist.as_array()
+    # multinomial gives its last entry whatever the others leave, float dust
+    # included, so the vector ends at the last symbol of positive mass
+    p = p[: np.flatnonzero(p)[-1] + 1]
+    counts = as_seed(seed).generator().multinomial(n, p)
+    seen = np.flatnonzero(counts)
+    return Sample._unchecked(dict(zip(seen.tolist(), counts[seen].tolist())), n)
 
 
 def _normalized(weights) -> Distribution:

@@ -280,6 +280,13 @@ class TestCli:
         value = float(capsys.readouterr().out.strip())
         assert 0.0 < value <= math.log(20) + 1e-9
 
+    def test_sample_size_past_int64_is_invalid_input(self, tmp_path, capsys):
+        out = tmp_path / "s.txt"
+        assert main(["sample", "--dist", "uniform", "--k", "5", "--n", str(2**63),
+                     "--out", str(out)]) == 1
+        assert "sample size" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pml_subcommand_files(self, tmp_path):
         prof = tmp_path / "proFile"
         prof.write_text("3 1\n")

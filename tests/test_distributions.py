@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from pmllab import (
@@ -99,6 +101,50 @@ class TestDrawSample:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             draw_sample(Distribution([1.0]), 0, RngSeed(0))
+
+    def test_size_bounds(self):
+        # the multinomial counts in signed 64 bits; one more is a ValueError,
+        # not an OverflowError from inside NumPy
+        with pytest.raises(ValueError, match="sample size"):
+            draw_sample(make("uniform", 5), 2**63, RngSeed(0))
+        sample = draw_sample(make("zipf", 5000), 2**63 - 1, RngSeed(0))
+        assert sample.n == 2**63 - 1
+        assert sum(sample.counts.values()) == sample.n
+
+    def test_memory_does_not_grow_with_n(self):
+        d = make("zipf", 5000)
+        tracemalloc.start()
+        try:
+            sample = draw_sample(d, 10**7, RngSeed(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sample.n == 10**7
+        # one length-n array of draws would be 80 MB
+        assert peak < 4 * 2**20
+
+    def test_large_alphabet(self):
+        n = 10**6
+        sample = draw_sample(make("zipf", 200_000), n, RngSeed(4))
+        assert sample.n == n
+        assert sum(sample.counts.values()) == n
+        assert max(sample.counts) < 200_000
+
+    def test_weights_off_by_the_tolerance(self):
+        # Distribution accepts a total within PROB_TOL; NumPy's multinomial
+        # alone allows only 1e-12 over
+        for total in (1.0 + 9e-10, 1.0 - 9e-10):
+            d = Distribution(np.full(1000, total / 1000))
+            assert draw_sample(d, 5000, RngSeed(5)).n == 5000
+
+    def test_zero_mass_symbols_never_drawn(self):
+        # sequential float subtraction of 1/3 three times leaves 1.1e-16,
+        # which the multinomial would give to a trailing entry: about 500
+        # draws at n = 2**62
+        for probs in ([1 / 3] * 3 + [0.0], [0.0, 0.5, 0.0, 0.5, 0.0]):
+            sample = draw_sample(Distribution(probs), 2**62, RngSeed(6))
+            assert all(probs[s] > 0.0 for s in sample.counts)
+            assert sample.n == 2**62
 
     def test_binomial_concentration_two_symbols(self):
         n = 10**6
