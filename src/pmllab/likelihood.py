@@ -82,8 +82,11 @@ def _log_monomial_sums(lp: np.ndarray, vals: np.ndarray, counts: np.ndarray):
         for d, s, t, v in zip(dst, src, tmp, point):
             np.add(s, v, out=t)
             np.logaddexp(d, t, out=d)
-    short = table[rows + tuple(counts[:, None] - np.eye(groups, dtype=int))]
-    return table[rows + tuple(counts)], short
+    # the cell of counts c, and of c less one symbol of group g, per row
+    flat = table.reshape(lp.shape[0], -1)
+    stride = np.asarray(table.strides[1:]) // table.itemsize
+    at = int(counts @ stride)
+    return flat[:, at], flat[:, at - stride]
 
 
 def profile_probability(dist: Distribution, profile: Profile) -> float:

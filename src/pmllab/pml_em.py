@@ -174,9 +174,10 @@ def _exact_estep_mass(q: np.ndarray, vals: np.ndarray, counts: np.ndarray) -> np
     """
     lq = np.log(np.maximum(q, _LOG_FLOOR))
     S, K = lq.shape
-    rows = np.where(np.eye(K + 1, K, dtype=bool), -np.inf, lq[:, None, :])
-    full, short = _log_monomial_sums(rows.reshape(S * (K + 1), K), vals, counts)
-    full = full.reshape(S, K + 1)[:, K, None, None]
+    rows = np.repeat(lq, K + 1, axis=0)
+    rows.reshape(S, -1)[:, :: K + 1] = -np.inf  # row s of each start, point s
+    full, short = _log_monomial_sums(rows, vals, counts)
+    full = full[K :: K + 1, None, None]
     short = short.reshape(S, K + 1, -1)[:, :K]
     return np.exp(vals * lq[..., None] + short - full) @ vals
 

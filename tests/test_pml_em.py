@@ -26,7 +26,7 @@ from pmllab import (
     split_large,
     tpml_distribution,
 )
-from pmllab.likelihood import profile_probability
+from pmllab.likelihood import _log_monomial_sums, profile_probability
 from pmllab.pml_em import (
     _LOG_FLOOR,
     _empirical_start,
@@ -198,6 +198,25 @@ class TestEmPml:
             assert got.shape == q.shape
             for row_got, row in zip(got, q):
                 assert row_got.tobytes() == _exact_estep_mass(row[None], *groups)[0].tobytes()
+
+    def test_leave_one_out_rows_match_an_identity_mask(self):
+        # the rows built with np.where over np.eye, as a reference for the
+        # strided fill of -inf
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            K = int(rng.integers(1, 11))
+            mults = np.sort(rng.integers(1, 6, int(rng.integers(1, min(K, 8) + 1))))[::-1]
+            vals, counts = np.unique(mults.astype(float), return_counts=True)
+            q = rng.dirichlet(np.ones(K), size=int(rng.integers(1, 4)))
+            q[0, -1] = 1e-320
+            S = q.shape[0]
+            lq = np.log(np.maximum(q, _LOG_FLOOR))
+            rows = np.where(np.eye(K + 1, K, dtype=bool), -np.inf, lq[:, None, :])
+            full, short = _log_monomial_sums(rows.reshape(S * (K + 1), K), vals, counts)
+            full = full.reshape(S, K + 1)[:, K, None, None]
+            short = short.reshape(S, K + 1, -1)[:, :K]
+            want = np.exp(vals * lq[..., None] + short - full) @ vals
+            assert _exact_estep_mass(q, vals, counts).tobytes() == want.tobytes()
 
     @staticmethod
     def _sequential_starts(profile, K, cfg, record_likelihood):
