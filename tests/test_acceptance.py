@@ -2,7 +2,7 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the lines as they
 complete. The whole suite is Monte Carlo at fixed seeds, so reruns are
-deterministic. Expect about 70 seconds end to end (2 vCPUs).
+deterministic. Expect 20 to 25 seconds end to end (2 vCPUs).
 """
 
 import itertools
