@@ -294,12 +294,24 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Run the grid and return one row per (distribution, n, estimator).
 
     Cells that would start after the max_seconds budget is spent are
-    written as sentinel rows (NaN errors, zero trials).
+    written as sentinel rows (NaN errors, zero trials). Every family is built
+    at k, and on the uniformity task every non-uniform one is checked to be
+    at least epsilon from uniform in l1, before the first cell runs, so a
+    bad grid fails at once rather than after hours of cells.
     """
     started = time.monotonic()
+    truths = {name: make(name, cfg.k) for name in cfg.distributions}
+    if cfg.task == "uniformity":
+        for name, truth in truths.items():
+            gap = property_value(truth, "dist_uniform")
+            if name != "uniform" and gap < cfg.epsilon:
+                raise ValueError(
+                    f"{name} at k={cfg.k} is {gap:.4g} from uniform in l1, below epsilon "
+                    f"{cfg.epsilon}: its label 1 would be wrong"
+                )
     rows: list[ResultRow] = []
     for d_ix, dist_name in enumerate(cfg.distributions):
-        truth = make(dist_name, cfg.k)
+        truth = truths[dist_name]
         for n_ix, n in enumerate(cfg.n_grid):
             if cfg.max_seconds is not None and time.monotonic() - started > cfg.max_seconds:
                 for est in cfg.estimators:

@@ -1,13 +1,14 @@
-"""Exact profile probabilities and a brute-force PML oracle.
+"""Exact profile probabilities and a grid-search PML oracle.
 
-The probability of observing a given profile comes from a log-space dynamic
-program over the remaining count per multiplicity group, which the exact
-E-step of the EM solver shares. Its tables are small, so a pass costs NumPy
-calls more than arithmetic: each call builds its views and buffers once and
-runs two in-place ufunc calls per point and group. Alongside it are
-desk-scale ground truths:
-exhaustive enumeration oracles and a grid-search maximizer used to validate
-the EM solver.
+The probability of observing a given profile comes from one log-space
+dynamic program over the remaining count per multiplicity group. A pass
+takes any number of rows of probabilities: the exact E-step of the EM
+solver, its likelihood scores and the oracle's grid each run one pass over
+all their rows. Its tables are small, so a pass costs NumPy calls more than
+arithmetic: each call builds its views and buffers once and runs two
+in-place ufunc calls per point and group. Sequence enumeration is the
+independent reference for the program; the grid-search maximizer, which
+validates the EM solver, scores through it.
 """
 
 from __future__ import annotations
@@ -25,14 +26,6 @@ _MAX_DP_STATES = 2**20
 _PARTITION_LIMIT = 40
 _ORACLE_MAX_K = 4
 _ORACLE_MAX_N = 8
-
-
-def _partition_coefficient(profile: Profile) -> int:
-    """n! / prod_i (i!)^phi_i, the number of sequences per symbol assignment."""
-    coef = math.factorial(profile.n)
-    for i, phi in profile.prevalences.items():
-        coef //= math.factorial(i) ** phi
-    return coef
 
 
 def _multiplicity_groups(profile: Profile) -> tuple[np.ndarray, np.ndarray]:
@@ -89,6 +82,24 @@ def _log_monomial_sums(lp: np.ndarray, vals: np.ndarray, counts: np.ndarray):
     return flat[:, at], flat[:, at - stride]
 
 
+@np.errstate(divide="ignore")  # np.log of a zero entry
+def _profile_probabilities(points: np.ndarray, profile: Profile) -> np.ndarray:
+    """Profile probability at every row of a probability matrix, through one
+    pass of the dynamic program.
+
+    A zero entry enters as log 0 = -inf, and ``np.logaddexp(x, -inf) == x``,
+    so it gives the same bits as a dropped point.
+    """
+    points = np.atleast_2d(points)
+    if not profile.m:
+        return np.ones(points.shape[0])
+    log_coef = math.lgamma(profile.n + 1) - sum(
+        phi * math.lgamma(i + 1) for i, phi in profile.prevalences.items()
+    )
+    full, _ = _log_monomial_sums(np.log(points), *_multiplicity_groups(profile))
+    return np.array([math.exp(log_coef + v) for v in full.tolist()])
+
+
 def profile_probability(dist: Distribution, profile: Profile) -> float:
     """Probability that an i.i.d. sample of size profile.n from dist has
     exactly this profile.
@@ -97,17 +108,9 @@ def profile_probability(dist: Distribution, profile: Profile) -> float:
     cost grows with the product of (count + 1) over the distinct
     multiplicities, which is capped at ``_MAX_DP_STATES``.
     """
-    m = profile.m
-    if m > dist.k:
-        raise ValueError(f"profile has {m} distinct symbols but the alphabet has {dist.k}")
-    if not m:
-        return 1.0
-    log_coef = math.lgamma(profile.n + 1) - sum(
-        phi * math.lgamma(i + 1) for i, phi in profile.prevalences.items()
-    )
-    p = dist.as_array()
-    lp = np.log(p[p > 0.0])
-    return math.exp(log_coef + _log_monomial_sums(lp, *_multiplicity_groups(profile))[0][0])
+    if profile.m > dist.k:
+        raise ValueError(f"profile has {profile.m} distinct symbols but the alphabet has {dist.k}")
+    return float(_profile_probabilities(dist.as_array(), profile)[0])
 
 
 def profile_probability_bruteforce(dist: Distribution, profile: Profile) -> float:
@@ -154,53 +157,6 @@ def enumerate_profiles(n: int) -> list[Profile]:
     return out
 
 
-def _set_partitions(items: tuple[int, ...]):
-    """All partitions of a tuple of items into non-empty blocks."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [first]] + part[i + 1 :]
-        yield part + [[first]]
-
-
-def _profile_prob_batch(points: np.ndarray, profile: Profile) -> np.ndarray:
-    """Profile probability at many distributions at once.
-
-    Expands the monomial symmetric polynomial in power sums via the Moebius
-    function of the partition lattice, which vectorizes over the grid. An
-    independent route from the dynamic program in
-    :func:`profile_probability`.
-    """
-    mults = profile.multiplicities()
-    m = len(mults)
-    if m == 0:
-        return np.ones(points.shape[0])
-    coef = _partition_coefficient(profile)
-    sym = 1
-    for c in Counter(mults).values():
-        sym *= math.factorial(c)
-    power_cache: dict[int, np.ndarray] = {}
-
-    def power_sum(s: int) -> np.ndarray:
-        if s not in power_cache:
-            power_cache[s] = (points**s).sum(axis=1)
-        return power_cache[s]
-
-    acc = np.zeros(points.shape[0])
-    for partition in _set_partitions(tuple(range(m))):
-        term = np.ones(points.shape[0])
-        sign = 1.0
-        for block in partition:
-            s = sum(mults[j] for j in block)
-            term = term * power_sum(s)
-            sign *= (-1.0) ** (len(block) - 1) * math.factorial(len(block) - 1)
-        acc += sign * term
-    return (coef / sym) * acc
-
-
 def _simplex_grid(k: int, steps: int) -> np.ndarray:
     """All compositions of ``steps`` into k parts, scaled to the simplex."""
     rows = []
@@ -232,7 +188,9 @@ def exact_pml_oracle(
     maximum. ``min_prob > 0`` restricts the search to distributions whose
     nonzero entries are at least ``min_prob`` (a support-size-capped class
     with a probability floor). Ties go to the lexicographically smallest
-    ascending-sorted probability vector.
+    ascending-sorted probability vector. The whole grid is scored with one
+    pass of the dynamic program behind :func:`profile_probability`;
+    :func:`profile_probability_bruteforce` stays its independent reference.
     """
     if k < 1 or k > _ORACLE_MAX_K or profile.n > _ORACLE_MAX_N:
         raise ValueError(
@@ -246,7 +204,7 @@ def exact_pml_oracle(
         pts = pts[keep]
         if pts.size == 0:
             raise ValueError("no grid point satisfies the probability floor")
-    vals = _profile_prob_batch(pts, profile)
+    vals = _profile_probabilities(pts, profile)
     top = vals.max()
     ties = np.nonzero(vals == top)[0]
     best_idx = min(ties, key=lambda i: tuple(sorted(pts[i])))

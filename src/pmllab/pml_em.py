@@ -34,7 +34,8 @@ import numpy as np
 
 from .core import Distribution, Profile, Sample, _integer, profile_of
 from .distributions import RngSeed, as_seed
-from .likelihood import _log_monomial_sums, _multiplicity_groups, profile_probability
+from .likelihood import (_log_monomial_sums, _multiplicity_groups, _profile_probabilities,
+                         profile_probability)
 
 #: Take the E-step exactly up to these sizes, sample beyond them.
 _EXACT_M_LIMIT = 8
@@ -265,6 +266,12 @@ def _mcmc_estep_mass(
 _AVG_WINDOW = 20
 
 
+def _scores(q: np.ndarray, profile: Profile) -> list[float]:
+    """The profile probability of each row of ``q`` as a :class:`Distribution`."""
+    return _profile_probabilities(np.stack([Distribution(row).as_array() for row in q]),
+                                  profile).tolist()
+
+
 def _em_exact(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig,
               record_likelihood: bool):
     """EM with the exact E-step from the tilted uniform start and, when
@@ -277,22 +284,16 @@ def _em_exact(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig,
         # desk scale is cheap enough to certify both basins by likelihood
         starts.append(_empirical_start(mults, K))
     q = np.stack(starts)
-    traces: list[list[float]] = [[] for _ in starts]
+    history: list[list[float]] = []
     for _ in range(cfg.em_iterations):
         if record_likelihood:
-            for trace, row in zip(traces, q):
-                trace.append(profile_probability(Distribution(row), profile))
+            history.append(_scores(q, profile))
         mass = _exact_estep_mass(q, vals, counts)
         q = mass / mass.sum(axis=1, keepdims=True)
-    best = None
-    for trace, row in zip(traces, q):
-        dist = Distribution(row)
-        score = profile_probability(dist, profile)
-        if record_likelihood:
-            trace.append(score)
-        if best is None or score > best[0]:
-            best = (score, dist, trace)
-    return best[1], best[2]
+    history.append(_scores(q, profile))
+    best = int(np.argmax(history[-1]))  # the first start on a tie
+    trace = [scores[best] for scores in history] if record_likelihood else []
+    return Distribution(q[best]), trace
 
 
 def _em_sampled(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig,

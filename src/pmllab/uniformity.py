@@ -16,7 +16,8 @@ def t_pml_test(sample: Sample, k: int, epsilon: float, pml: Distribution) -> int
     3 * max(1, n/k) * ln(k). Branch 2 rejects when the l2 distance between
     the supplied PML estimate (zero-padded or truncated to length k) and
     the uniform distribution reaches 3 * epsilon / (4 * sqrt(k)). Natural
-    logarithms in both thresholds.
+    logarithms in both thresholds. With k = 1 the only distribution is
+    uniform, so the tester accepts (branch 1's threshold would be 0).
 
     ``pml`` is normally the approximate PML of the sample's profile
     computed with the alphabet size as support hint; passing the true
@@ -28,6 +29,8 @@ def t_pml_test(sample: Sample, k: int, epsilon: float, pml: Distribution) -> int
         raise ValueError(f"alphabet size must be >= 1, got {k}")
     if not 0.0 < epsilon < 2.0:
         raise ValueError(f"epsilon must lie in (0, 2), got {epsilon}")
+    if k == 1:
+        return 0
     n = sample.n
     top = max(sample.counts.values(), default=0)
     if top >= 3.0 * max(1.0, n / k) * math.log(k):

@@ -127,7 +127,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
     def test_shipped_config_parses(self, path):
-        parse_config(path.read_text(encoding="utf-8"))
+        cfg = parse_config(path.read_text(encoding="utf-8"))
+        for name in cfg.distributions:
+            make(name, cfg.k)
 
     def test_em_defaults_match_library(self):
         cfg = ExperimentConfig(task="entropy", distributions=("uniform",), k=10, n_grid=(100,))
@@ -224,6 +226,35 @@ class TestRunExperiment:
         for r in rows:
             assert 0.0 <= r.mean_error <= 1.0
 
+    def test_unbuildable_family_fails_before_any_trial(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr("pmllab.bench._trial_errors", lambda *args: ran.append(args))
+        with pytest.raises(ValueError):
+            run_experiment(self._small_cfg(distributions=("uniform", "three_step"), k=10))
+        assert not ran
+
+    def test_uniformity_family_inside_epsilon_fails_before_any_trial(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr("pmllab.bench._trial_errors", lambda *args: ran.append(args))
+        cfg = self._small_cfg(task="uniformity", distributions=("uniform", "two_step"),
+                              estimators=("pml",), epsilon=0.9, k=20, n_grid=(200,))
+        with pytest.raises(ValueError, match="two_step"):
+            run_experiment(cfg)
+        assert not ran
+
+    @pytest.mark.parametrize("task, estimators", [
+        ("l1", ("pml", "empirical", "empirical_nlogn")),
+        ("sorted_l1", ("tpml",)),
+    ])
+    def test_estimator_paths(self, task, estimators):
+        cfg = self._small_cfg(task=task, estimators=estimators, n_grid=(60,))
+        rows = run_experiment(cfg)
+        assert [(r.distribution, r.estimator) for r in rows] == [
+            (d, e) for d in sorted(cfg.distributions) for e in sorted(estimators)
+        ]
+        assert all(math.isfinite(r.mean_error) and r.trials == 2 for r in rows)
+        assert run_experiment(cfg) == rows
+
     def test_budget_sentinels(self):
         cfg = self._small_cfg(max_seconds=0.0)
         rows = run_experiment(cfg)
@@ -303,6 +334,11 @@ class TestCli:
                      "--em-iters", "5", "--sweeps", "6"])
         assert code == 0
         assert capsys.readouterr().out.strip() in {"0", "1"}
+
+    def test_test_uniformity_one_symbol_accepts(self, capsys):
+        assert main(["test-uniformity", "--k", "1", "--epsilon", "0.5",
+                     "--dist", "uniform", "--n", "5"]) == 0
+        assert capsys.readouterr().out.strip() == "0"
 
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "absent.txt"

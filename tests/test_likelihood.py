@@ -18,7 +18,7 @@ from pmllab.likelihood import (
     _MAX_DP_STATES,
     _log_monomial_sums,
     _multiplicity_groups,
-    _profile_prob_batch,
+    _profile_probabilities,
 )
 
 
@@ -89,18 +89,24 @@ class TestProfileProbability:
         )
         assert total == pytest.approx(1.0, abs=1e-12)
 
-    def test_batch_route_agrees(self):
-        rng = random.Random(31)
-        for _ in range(10):
-            n = rng.randint(2, 6)
-            k = rng.randint(2, 4)
-            d = random_distribution(rng, k)
-            pts = np.asarray([d.probs])
-            for prof in enumerate_profiles(n):
-                if prof.m > k:
-                    continue
-                got = _profile_prob_batch(pts, prof)[0]
-                assert got == pytest.approx(profile_probability(d, prof), abs=1e-12)
+    def test_zero_entry_equals_dropped_entry(self):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            k = int(rng.integers(2, 8))
+            p = rng.random(k) + 1e-3
+            p[1:][rng.random(k - 1) < 0.4] = 0.0
+            kept = p[p > 0.0]
+            prof = Profile.from_multiplicities(rng.integers(1, 4, size=int(rng.integers(1, k + 1))).tolist())
+            want = _profile_probabilities(kept, prof)[0] if prof.m <= kept.size else 0.0
+            assert _profile_probabilities(p, prof)[0] == want
+
+    def test_grid_rows_equal_single_calls(self):
+        rng = random.Random(41)
+        pts = np.asarray([random_distribution(rng, 3).probs for _ in range(20)] + [[0.5, 0.5, 0.0]])
+        for prof in enumerate_profiles(4):
+            if prof.m <= 3:
+                want = [profile_probability(Distribution(row), prof) for row in pts]
+                assert _profile_probabilities(pts, prof).tolist() == want
 
 
 def _dp_instances():

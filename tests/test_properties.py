@@ -6,6 +6,7 @@ import pytest
 
 from pmllab import (
     Distribution,
+    EmConfig,
     LinearEstimator,
     Profile,
     RngSeed,
@@ -20,6 +21,7 @@ from pmllab import (
     plug_in,
     profile_of,
     property_value,
+    tpml_distribution,
 )
 
 
@@ -105,6 +107,12 @@ class TestPlugIn:
     def test_entropy_pml_small(self):
         got = plug_in(Sample({0: 1, 1: 1}), "entropy", "pml", k=2)
         assert got == pytest.approx(math.log(2), abs=1e-2)
+
+    def test_entropy_tpml_is_the_tpml_estimate(self):
+        sample = draw_sample(make("zipf", 40), 200, RngSeed(17))
+        cfg = EmConfig(em_iterations=5, mcmc_sweeps_per_estep=6, seed=RngSeed(18))
+        want = property_value(tpml_distribution(sample, cfg=cfg), "entropy")
+        assert plug_in(sample, "entropy", "tpml", cfg=cfg) == want
 
     def test_unknown_estimator(self):
         with pytest.raises(ValueError):

@@ -66,6 +66,11 @@ class TestBranches:
         with pytest.raises(ValueError):
             t_pml_test(sample, 2, 2.5, uniform_pml(2))
 
+    def test_one_symbol_alphabet_accepts(self):
+        # the only distribution over one symbol is uniform
+        for n in (1, 5, 1000):
+            assert t_pml_test(Sample({0: n}), 1, 0.5, uniform_pml(1)) == 0
+
     def test_pml_shorter_than_alphabet_is_padded(self):
         k = 10
         sample = Sample({i: 1 for i in range(3)})
