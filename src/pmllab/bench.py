@@ -244,8 +244,18 @@ def _estimate_dist(cfg: ExperimentConfig, est: str, sample: Sample, big: Sample 
     return empirical_distribution(big)
 
 
-def _trial_errors(cfg: ExperimentConfig, truth: Distribution, dist_name: str,
-                  n: int, trial_seed: RngSeed) -> dict[str, float]:
+def _property_param(cfg: ExperimentConfig):
+    if cfg.task == "renyi":
+        return cfg.alpha
+    if cfg.task == "coverage":
+        return cfg.coverage_m
+    return None
+
+
+def _trial_errors(cfg: ExperimentConfig, truth: Distribution, target: float | None,
+                  dist_name: str, n: int, trial_seed: RngSeed) -> dict[str, float]:
+    """One trial's error per estimator; ``target`` is the true property
+    value on the property tasks."""
     sample = draw_sample(truth, n, trial_seed.derive(1))
     em_cfg = cfg.em_config(trial_seed.derive(2))
     big = None
@@ -262,15 +272,7 @@ def _trial_errors(cfg: ExperimentConfig, truth: Distribution, dist_name: str,
         out["pml"] = float(verdict != label)
         return out
 
-    param = None
-    if cfg.task == "renyi":
-        param = cfg.alpha
-    elif cfg.task == "coverage":
-        param = cfg.coverage_m
-    target = None
-    if cfg.task in _PROPERTY_TASKS:
-        target = property_value(truth, cfg.task, param)
-
+    param = _property_param(cfg)
     for est in cfg.estimators:
         est_dist = _estimate_dist(cfg, est, sample, big, em_cfg)
         if cfg.task == "l1":
@@ -295,12 +297,17 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
 
     Cells that would start after the max_seconds budget is spent are
     written as sentinel rows (NaN errors, zero trials). Every family is built
-    at k, and on the uniformity task every non-uniform one is checked to be
-    at least epsilon from uniform in l1, before the first cell runs, so a
-    bad grid fails at once rather than after hours of cells.
+    at k, its true property value is computed on the property tasks, and on
+    the uniformity task every non-uniform one is checked to be at least
+    epsilon from uniform in l1, before the first cell runs, so a bad grid
+    fails at once rather than after hours of cells.
     """
     started = time.monotonic()
     truths = {name: make(name, cfg.k) for name in cfg.distributions}
+    targets = dict.fromkeys(truths)
+    if cfg.task in _PROPERTY_TASKS:
+        targets = {name: property_value(truth, cfg.task, _property_param(cfg))
+                   for name, truth in truths.items()}
     if cfg.task == "uniformity":
         for name, truth in truths.items():
             gap = property_value(truth, "dist_uniform")
@@ -318,7 +325,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                     rows.append(ResultRow(dist_name, n, est, math.nan, math.nan, 0))
                 continue
             per_trial = [
-                _trial_errors(cfg, truth, dist_name, n, cfg.seed.derive(d_ix, n_ix, t))
+                _trial_errors(cfg, truth, targets[dist_name], dist_name, n,
+                              cfg.seed.derive(d_ix, n_ix, t))
                 for t in range(cfg.trials)
             ]
             for est in cfg.estimators:

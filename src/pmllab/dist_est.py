@@ -162,6 +162,8 @@ def tpml_distribution(
     if n < 2:
         raise ValueError("need at least two draws")
     alpha_n, beta_n, gamma_n = thresholds or default_tpml_thresholds(n)
+    if not all(math.isfinite(v) for v in (alpha_n, beta_n, gamma_n)):
+        raise ValueError(f"TPML thresholds must be finite, got {(alpha_n, beta_n, gamma_n)}")
     if alpha_n < 1:
         raise ValueError("truncation threshold must be >= 1")
     if beta_n < alpha_n:

@@ -26,6 +26,7 @@ _MAX_DP_STATES = 2**20
 _PARTITION_LIMIT = 40
 _ORACLE_MAX_K = 4
 _ORACLE_MAX_N = 8
+_ORACLE_GRID_STEPS = 60
 
 
 def _multiplicity_groups(profile: Profile) -> tuple[np.ndarray, np.ndarray]:
@@ -88,7 +89,8 @@ def _profile_probabilities(points: np.ndarray, profile: Profile) -> np.ndarray:
     pass of the dynamic program.
 
     A zero entry enters as log 0 = -inf, and ``np.logaddexp(x, -inf) == x``,
-    so it gives the same bits as a dropped point.
+    so it gives the same bits as a dropped point. Each value is capped at 1,
+    which the rounding of the exponential can pass by one ulp.
     """
     points = np.atleast_2d(points)
     if not profile.m:
@@ -97,7 +99,7 @@ def _profile_probabilities(points: np.ndarray, profile: Profile) -> np.ndarray:
         phi * math.lgamma(i + 1) for i, phi in profile.prevalences.items()
     )
     full, _ = _log_monomial_sums(np.log(points), *_multiplicity_groups(profile))
-    return np.array([math.exp(log_coef + v) for v in full.tolist()])
+    return np.array([min(1.0, math.exp(log_coef + v)) for v in full.tolist()])
 
 
 def profile_probability(dist: Distribution, profile: Profile) -> float:
@@ -170,26 +172,15 @@ def _simplex_grid(k: int, steps: int) -> np.ndarray:
     return np.asarray(rows, dtype=float) / steps
 
 
-def _class_ok(probs, min_prob: float) -> bool:
-    return all(v == 0.0 or v >= min_prob - 1e-12 for v in probs)
-
-
-def exact_pml_oracle(
-    profile: Profile,
-    k: int,
-    grid_steps: int = 60,
-    min_prob: float = 0.0,
-) -> tuple[Distribution, float]:
+def exact_pml_oracle(profile: Profile, k: int) -> tuple[Distribution, float]:
     """Exhaustive grid maximizer of the profile probability over the simplex.
 
-    Evaluates every composition of ``grid_steps`` into k coordinates, then
+    Evaluates every composition of 60 steps into k coordinates, then
     tightens the winner with 5 rounds of pairwise mass transfers at halved
     steps. The returned value is a certified lower bound on the true
-    maximum. ``min_prob > 0`` restricts the search to distributions whose
-    nonzero entries are at least ``min_prob`` (a support-size-capped class
-    with a probability floor). Ties go to the lexicographically smallest
-    ascending-sorted probability vector. The whole grid is scored with one
-    pass of the dynamic program behind :func:`profile_probability`;
+    maximum. Ties go to the lexicographically smallest ascending-sorted
+    probability vector. The whole grid is scored with one pass of the
+    dynamic program behind :func:`profile_probability`;
     :func:`profile_probability_bruteforce` stays its independent reference.
     """
     if k < 1 or k > _ORACLE_MAX_K or profile.n > _ORACLE_MAX_N:
@@ -198,12 +189,7 @@ def exact_pml_oracle(
         )
     if profile.m > k:
         raise ValueError(f"profile needs {profile.m} symbols, alphabet has {k}")
-    pts = _simplex_grid(k, grid_steps)
-    if min_prob > 0.0:
-        keep = np.array([_class_ok(row, min_prob) for row in pts])
-        pts = pts[keep]
-        if pts.size == 0:
-            raise ValueError("no grid point satisfies the probability floor")
+    pts = _simplex_grid(k, _ORACLE_GRID_STEPS)
     vals = _profile_probabilities(pts, profile)
     top = vals.max()
     ties = np.nonzero(vals == top)[0]
@@ -211,7 +197,7 @@ def exact_pml_oracle(
     best = [float(v) for v in pts[best_idx]]
     best_val = profile_probability(Distribution(best), profile)
 
-    step = 1.0 / grid_steps
+    step = 1.0 / _ORACLE_GRID_STEPS
     for _ in range(5):
         step *= 0.5
         for i in range(k):
@@ -221,8 +207,6 @@ def exact_pml_oracle(
                 cand = list(best)
                 cand[i] -= step
                 cand[j] += step
-                if min_prob > 0.0 and not _class_ok(cand, min_prob):
-                    continue
                 val = profile_probability(Distribution(cand), profile)
                 if val > best_val or (
                     val == best_val and tuple(sorted(cand)) < tuple(sorted(best))

@@ -26,16 +26,16 @@ multiplicity mass.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .core import Distribution, Profile, Sample, _integer, profile_of
 from .distributions import RngSeed, as_seed
-from .likelihood import (_log_monomial_sums, _multiplicity_groups, _profile_probabilities,
-                         profile_probability)
+from .likelihood import _log_monomial_sums, _multiplicity_groups, _profile_probabilities
 
 #: Take the E-step exactly up to these sizes, sample beyond them.
 _EXACT_M_LIMIT = 8
@@ -266,41 +266,35 @@ def _mcmc_estep_mass(
 _AVG_WINDOW = 20
 
 
-def _scores(q: np.ndarray, profile: Profile) -> list[float]:
+def _scores(q, profile: Profile) -> list[float]:
     """The profile probability of each row of ``q`` as a :class:`Distribution`."""
     return _profile_probabilities(np.stack([Distribution(row).as_array() for row in q]),
                                   profile).tolist()
 
 
-def _em_exact(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig,
-              record_likelihood: bool):
+def _em_exact(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig):
     """EM with the exact E-step from the tilted uniform start and, when
     K >= 2, the empirical one; the starts advance together, one pass of the
-    dynamic program per iteration, and the endpoint of higher likelihood
-    wins (the first on a tie)."""
+    dynamic program per iteration. Yields the iterates of the start whose
+    endpoint has the higher likelihood (the first on a tie)."""
     vals, counts = _multiplicity_groups(profile)
     starts = [_tilted_uniform(K)]
     if K >= 2:
         # desk scale is cheap enough to certify both basins by likelihood
         starts.append(_empirical_start(mults, K))
-    q = np.stack(starts)
-    history: list[list[float]] = []
+    iterates = [np.stack(starts)]
     for _ in range(cfg.em_iterations):
-        if record_likelihood:
-            history.append(_scores(q, profile))
-        mass = _exact_estep_mass(q, vals, counts)
-        q = mass / mass.sum(axis=1, keepdims=True)
-    history.append(_scores(q, profile))
-    best = int(np.argmax(history[-1]))  # the first start on a tie
-    trace = [scores[best] for scores in history] if record_likelihood else []
-    return Distribution(q[best]), trace
+        mass = _exact_estep_mass(iterates[-1], vals, counts)
+        iterates.append(mass / mass.sum(axis=1, keepdims=True))
+    best = int(np.argmax(_scores(iterates[-1], profile)))  # the first start on a tie
+    for q in iterates:
+        yield q[best]
 
 
-def _em_sampled(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig,
-                record_likelihood: bool):
-    """EM with the sampled E-step from the tilted uniform start."""
+def _em_sampled(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig):
+    """EM with the sampled E-step from the tilted uniform start. Yields the
+    iterate before each E-step, then the average of the sorted final ones."""
     q = _tilted_uniform(K)
-    trace: list[float] = []
     # One serial chain gains nothing from Philox's counter-based streams and
     # pays about three times per word for them; SFC64 under the same seed
     # draws the E-step's uniforms, sampling stays on Philox.
@@ -316,24 +310,20 @@ def _em_sampled(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig,
     y[: mults.size] = mults
     window = min(_AVG_WINDOW, cfg.em_iterations)
     averaged = np.zeros(K)
-    kept = 0
     for it in range(cfg.em_iterations):
-        if record_likelihood:
-            trace.append(profile_probability(Distribution(q), profile))
+        yield q
         burn = max(1, cfg.mcmc_sweeps_per_estep // 4) if it == 0 else 0
         mass = _mcmc_estep_mass(q, y, cfg.mcmc_sweeps_per_estep, gen, burn)
         q = mass + kappa
         q = q / q.sum()
         if it >= cfg.em_iterations - window:
             averaged += np.sort(q)[::-1]
-            kept += 1
-    dist = Distribution(averaged / kept)
-    if record_likelihood:
-        trace.append(profile_probability(dist, profile))
-    return dist, trace
+    yield averaged / window
 
 
-def _em_run(profile: Profile, K: int, cfg: EmConfig, record_likelihood: bool):
+def _em_run(profile: Profile, K: int, cfg: EmConfig) -> Iterator[np.ndarray]:
+    """Check the inputs now and return the EM iterates, the initialization
+    first and the estimate last."""
     K = _integer(K, "support size")
     if K < 1:
         raise ValueError("support size must be >= 1")
@@ -342,12 +332,10 @@ def _em_run(profile: Profile, K: int, cfg: EmConfig, record_likelihood: bool):
     if m > K:
         raise ValueError(f"support size {K} cannot host {m} distinct symbols")
     if m == 0 or cfg.em_iterations == 0:
-        dist = Distribution(_tilted_uniform(K))
-        trace = [profile_probability(dist, profile)] if record_likelihood else []
-        return dist, trace
+        return iter([_tilted_uniform(K)])
     if m > _EXACT_M_LIMIT or K > _EXACT_K_LIMIT:
-        return _em_sampled(profile, mults, K, cfg, record_likelihood)
-    return _em_exact(profile, mults, K, cfg, record_likelihood)
+        return _em_sampled(profile, mults, K, cfg)
+    return _em_exact(profile, mults, K, cfg)
 
 
 def em_pml(profile: Profile, K: int, cfg: EmConfig | None = None) -> Distribution:
@@ -359,16 +347,18 @@ def em_pml(profile: Profile, K: int, cfg: EmConfig | None = None) -> Distributio
     and can be monitored via :func:`em_pml_trace`. The sampled path keeps
     one Metropolis chain alive across E-steps and returns the mean of the
     sorted final iterates, which strips most of the Monte Carlo jitter from
-    the returned multiset.
+    the returned multiset. Only the last iterate is kept.
     """
-    dist, _ = _em_run(profile, K, cfg or EmConfig(), record_likelihood=False)
-    return dist
+    return Distribution(deque(_em_run(profile, K, cfg or EmConfig()), maxlen=1).pop())
 
 
 def em_pml_trace(profile: Profile, K: int, cfg: EmConfig | None = None):
     """Like :func:`em_pml`, but also returns the profile probability of every
-    iterate (initialization included)."""
-    return _em_run(profile, K, cfg or EmConfig(), record_likelihood=True)
+    iterate (initialization included), scored after the EM in one pass of
+    the dynamic program. A profile too large for that program raises
+    ``ValueError`` once the EM has run."""
+    iterates = list(_em_run(profile, K, cfg or EmConfig()))
+    return Distribution(iterates[-1]), _scores(iterates, profile)
 
 
 def approximate_pml(

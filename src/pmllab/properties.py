@@ -21,38 +21,49 @@ def property_value(dist: Distribution, which: str, param=None) -> float:
     """Exact value of a property functional.
 
     ``param`` is the Renyi / power-sum order alpha, or the fresh-sample size
-    m for support coverage. Renyi at alpha -> 1 is not interpolated; use
-    ``entropy``.
+    m for support coverage; it must be finite. Renyi at alpha -> 1 is not
+    interpolated; use ``entropy``.
     """
+    param = _checked_param(which, param)
     p = dist.as_array()
     nz = p[p > 0.0]
     if which == "entropy":
         return float(-(nz * np.log(nz)).sum())
     if which == "renyi":
-        alpha = _checked_alpha(param)
-        return float(math.log((nz**alpha).sum()) / (1.0 - alpha))
+        return float(math.log((nz**param).sum()) / (1.0 - param))
     if which == "power_sum":
-        if param is None or param <= 0:
-            raise ValueError(f"power sum needs a positive order, got {param}")
-        return float((nz ** float(param)).sum())
+        return float((nz**param).sum())
     if which == "support":
         return float(nz.size)
     if which == "coverage":
-        if param is None or float(param) < 1:
-            raise ValueError(f"coverage needs a sample-size parameter m >= 1, got {param}")
-        return float((1.0 - (1.0 - p) ** float(param)).sum())
-    if which == "dist_uniform":
-        return float(np.abs(p - 1.0 / dist.k).sum())
-    raise ValueError(f"unknown property tag {which!r}")
+        return float((1.0 - (1.0 - p) ** param).sum())
+    return float(np.abs(p - 1.0 / dist.k).sum())  # dist_uniform
 
 
-def _checked_alpha(param) -> float:
-    if param is None:
-        raise ValueError("Renyi entropy needs an order alpha")
-    alpha = float(param)
-    if alpha < 0.0 or alpha == 1.0:
-        raise ValueError(f"Renyi order must be >= 0 and != 1, got {alpha}")
-    return alpha
+def _checked_param(which: str, param) -> float | None:
+    """The parameter of property ``which`` as a float, or None if it takes
+    none; raises ``ValueError`` for an unknown tag or a parameter out of
+    range, NaN and infinities included."""
+    if which not in PROPERTY_TAGS:
+        raise ValueError(f"unknown property tag {which!r}")
+    if which == "renyi":
+        if param is None:
+            raise ValueError("Renyi entropy needs an order alpha")
+        alpha = float(param)
+        if not (math.isfinite(alpha) and alpha >= 0.0 and alpha != 1.0):
+            raise ValueError(f"Renyi order must be finite, >= 0 and != 1, got {alpha}")
+        return alpha
+    if which == "power_sum":
+        alpha = math.nan if param is None else float(param)
+        if not (math.isfinite(alpha) and alpha > 0.0):
+            raise ValueError(f"power sum needs a finite positive order, got {param}")
+        return alpha
+    if which == "coverage":
+        m = math.nan if param is None else float(param)
+        if not (math.isfinite(m) and m >= 1.0):
+            raise ValueError(f"coverage needs a finite sample-size parameter m >= 1, got {param}")
+        return m
+    return None
 
 
 def empirical_distribution(sample: Sample, k: int | None = None) -> Distribution:
@@ -82,8 +93,10 @@ def plug_in(
     """Evaluate a property at a distribution estimate of the sample.
 
     ``estimator`` is one of empirical / pml / tpml; ``k`` is an optional
-    alphabet size (padding for empirical, support hint for PML).
+    alphabet size (padding for empirical, support hint for PML). The
+    property and its parameter are checked before the estimate is made.
     """
+    _checked_param(which, param)
     if estimator == "empirical":
         est = empirical_distribution(sample, k)
     elif estimator == "pml":

@@ -233,6 +233,13 @@ class TestRunExperiment:
             run_experiment(self._small_cfg(distributions=("uniform", "three_step"), k=10))
         assert not ran
 
+    def test_non_finite_renyi_order_fails_before_any_trial(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr("pmllab.bench._trial_errors", lambda *args: ran.append(args))
+        with pytest.raises(ValueError, match="finite"):
+            run_experiment(self._small_cfg(task="renyi", alpha=math.nan))
+        assert not ran
+
     def test_uniformity_family_inside_epsilon_fails_before_any_trial(self, monkeypatch):
         ran = []
         monkeypatch.setattr("pmllab.bench._trial_errors", lambda *args: ran.append(args))
@@ -310,6 +317,14 @@ class TestCli:
         assert main(["estimate", "--sample", str(out), "--property", "entropy"]) == 0
         value = float(capsys.readouterr().out.strip())
         assert 0.0 < value <= math.log(20) + 1e-9
+
+    def test_non_finite_order_is_invalid_input(self, tmp_path, capsys):
+        out = tmp_path / "s.txt"
+        assert main(["sample", "--dist", "uniform", "--k", "20", "--n", "200",
+                     "--seed", "5", "--out", str(out)]) == 0
+        assert main(["estimate", "--sample", str(out), "--property", "renyi",
+                     "--alpha", "nan"]) == 1
+        assert "finite" in capsys.readouterr().err
 
     def test_sample_size_past_int64_is_invalid_input(self, tmp_path, capsys):
         out = tmp_path / "s.txt"

@@ -182,6 +182,13 @@ class TestTpmlDistribution:
         with pytest.raises(ValueError):
             tpml_distribution(Sample({0: 5, 1: 5}), (0.5, 1.0, 0.1))
 
+    @pytest.mark.parametrize("thresholds", [(2.0, math.nan, 0.01), (math.inf, math.inf, 0.01),
+                                            (2.0, 2.5, math.nan), (2.0, math.inf, 0.01)])
+    def test_rejects_non_finite_thresholds(self, thresholds):
+        sample = Sample({0: 1, 1: 2, 2: 3, 3: 7})
+        with pytest.raises(ValueError, match="finite"):
+            tpml_distribution(sample, thresholds)
+
     def test_rejects_patch_threshold_below_truncation(self):
         # the two 3-count symbols would be both light (3 <= 3) and heavy (3 > 2)
         sample = Sample({i: 1 for i in range(40)} | {100: 3, 101: 3})

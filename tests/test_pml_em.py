@@ -26,9 +26,10 @@ from pmllab import (
     split_large,
     tpml_distribution,
 )
-from pmllab.likelihood import _log_monomial_sums, profile_probability
+from pmllab.likelihood import _MAX_DP_STATES, _log_monomial_sums, profile_probability
 from pmllab.pml_em import (
     _LOG_FLOOR,
+    _em_run,
     _empirical_start,
     _exact_estep_mass,
     _mcmc_estep_mass,
@@ -219,7 +220,7 @@ class TestEmPml:
             assert _exact_estep_mass(q, vals, counts).tobytes() == want.tobytes()
 
     @staticmethod
-    def _sequential_starts(profile, K, cfg, record_likelihood):
+    def _sequential_starts(profile, K, cfg):
         """The exact path with each start run to the end before the next, as
         a reference for the starts advancing together."""
         mults = np.asarray(profile.multiplicities(), dtype=float)
@@ -229,16 +230,13 @@ class TestEmPml:
         for q in starts:
             trace = []
             for _ in range(cfg.em_iterations):
-                if record_likelihood:
-                    trace.append(profile_probability(Distribution(q), profile))
+                trace.append(profile_probability(Distribution(q), profile))
                 mass = _exact_estep_mass(q[None], *groups)[0]
                 q = mass / mass.sum()
             dist = Distribution(q)
-            if record_likelihood:
-                trace.append(profile_probability(dist, profile))
-            score = trace[-1] if record_likelihood else profile_probability(dist, profile)
-            if best is None or score > best[0]:
-                best = (score, dist, trace)
+            trace.append(profile_probability(dist, profile))
+            if best is None or trace[-1] > best[0]:
+                best = (trace[-1], dist, trace)
         return best[1], best[2]
 
     def test_starts_advancing_together_match_sequential_starts(self):
@@ -249,12 +247,45 @@ class TestEmPml:
                     [rng.randint(1, 5) for _ in range(rng.randint(1, min(K, 8)))]
                 )
                 cfg = EmConfig(em_iterations=rng.randint(1, 25))
-                want, want_trace = self._sequential_starts(prof, K, cfg, True)
+                want, want_trace = self._sequential_starts(prof, K, cfg)
                 got, got_trace = em_pml_trace(prof, K, cfg)
                 assert got.as_array().tobytes() == want.as_array().tobytes(), (K, prof)
                 assert got_trace == want_trace, (K, prof)
-                want = self._sequential_starts(prof, K, cfg, False)[0]
                 assert em_pml(prof, K, cfg).as_array().tobytes() == want.as_array().tobytes()
+
+    def test_sampled_trace_ends_at_the_estimate(self):
+        rng = random.Random(67)
+        for _ in range(8):
+            m = rng.randint(1, 8)
+            prof = Profile.from_multiplicities([rng.randint(1, 6) for _ in range(m)])
+            K = rng.randint(11, 14)  # above _EXACT_K_LIMIT: the sampled E-step
+            cfg = EmConfig(em_iterations=rng.randint(1, 25), mcmc_sweeps_per_estep=5,
+                           seed=RngSeed(rng.randint(0, 99)))
+            dist, trace = em_pml_trace(prof, K, cfg)
+            assert dist.as_array().tobytes() == em_pml(prof, K, cfg).as_array().tobytes()
+            assert len(trace) == cfg.em_iterations + 1
+            assert trace[-1] == profile_probability(dist, prof)
+
+    def test_yielded_iterates_are_not_changed_later(self):
+        # both E-step paths
+        for prof, K in ((Profile({1: 3, 2: 1}), 6), (Profile({1: 9, 3: 2}), 14)):
+            cfg = EmConfig(em_iterations=6, mcmc_sweeps_per_estep=4)
+            seen = [(q, q.copy()) for q in _em_run(prof, K, cfg)]
+            assert len(seen) == cfg.em_iterations + 1
+            assert all(np.array_equal(q, c) for q, c in seen)
+
+    def test_trace_refuses_a_profile_beyond_the_dynamic_program(self):
+        prof = Profile.from_multiplicities(range(1, _MAX_DP_STATES.bit_length() + 1))
+        cfg = EmConfig(em_iterations=2, mcmc_sweeps_per_estep=2)
+        em_pml(prof, prof.m, cfg)
+        with pytest.raises(ValueError, match="dynamic-program states"):
+            em_pml_trace(prof, prof.m, cfg)
+
+    def test_trace_without_iterations_scores_the_start(self):
+        for prof, K in ((Profile({1: 2, 3: 1}), 4), (Profile({2: 12}), 15), (Profile({}), 3)):
+            dist, trace = em_pml_trace(prof, K, EmConfig(em_iterations=0))
+            assert dist == Distribution(_tilted_uniform(K))
+            assert trace == [profile_probability(dist, prof)]
 
     @staticmethod
     def _chain(mults, K, gen):

@@ -80,6 +80,12 @@ class TestPropertyValue:
         with pytest.raises(ValueError):
             property_value(u, "sharpness")
 
+    @pytest.mark.parametrize("which", ["renyi", "power_sum", "coverage"])
+    @pytest.mark.parametrize("param", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_refused(self, which, param):
+        with pytest.raises(ValueError, match="finite"):
+            property_value(make("uniform", 4), which, param)
+
 
 class TestEmpiricalDistribution:
     def test_ratios(self):
