@@ -22,6 +22,7 @@ from .dist_est import (
     default_tpml_thresholds,
     denoise,
     estimate_unsorted_l1,
+    plug_in,
     tpml_distribution,
     weighted_median,
 )
@@ -60,7 +61,6 @@ from .properties import (
     linear_apply,
     linear_sensitivity_bound,
     missing_mass_estimate,
-    plug_in,
     property_value,
 )
 from .uniformity import t_pml_test

@@ -13,14 +13,14 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .core import Distribution, Profile, Sample, _integer, sorted_l1, lp_distance
-from .dist_est import estimate_unsorted_l1, tpml_distribution
+from .dist_est import ESTIMATORS as _PLUG_IN_ESTIMATORS, estimate, estimate_unsorted_l1
 from .distributions import FAMILIES, RngSeed, as_seed, draw_sample, make
 from .pml_em import EmConfig, approximate_pml
 from .properties import empirical_distribution, property_value
 from .uniformity import t_pml_test
 
 TASKS = ("l1", "sorted_l1", "entropy", "renyi", "support", "coverage", "uniformity")
-ESTIMATORS = ("pml", "empirical", "empirical_nlogn", "tpml")
+ESTIMATORS = (*_PLUG_IN_ESTIMATORS, "empirical_nlogn")  # the last on n ln n draws
 
 CSV_HEADER = "distribution,n,estimator,mean_error,std_error,trials"
 
@@ -228,20 +228,13 @@ def worker_count() -> int:
 
 def _estimate_dist(cfg: ExperimentConfig, est: str, sample: Sample, big: Sample | None,
                    em_cfg: EmConfig) -> Distribution:
-    if cfg.task == "l1":
-        if est == "pml":
-            return estimate_unsorted_l1(sample, alphabet=cfg.k, cfg=em_cfg)
-        if est == "empirical":
-            return empirical_distribution(sample, cfg.k)
-        return empirical_distribution(big, cfg.k)
-    # sorted_l1 and property tasks work on multiset estimates
-    if est == "pml":
-        return approximate_pml(sample, cfg=em_cfg)
-    if est == "tpml":
-        return tpml_distribution(sample, cfg=em_cfg)
-    if est == "empirical":
-        return empirical_distribution(sample)
-    return empirical_distribution(big)
+    # only the l1 task pads to the alphabet; the others use multiset estimates
+    k = cfg.k if cfg.task == "l1" else None
+    if est == "empirical_nlogn":
+        return empirical_distribution(big, k)
+    if cfg.task == "l1" and est == "pml":
+        return estimate_unsorted_l1(sample, alphabet=cfg.k, cfg=em_cfg)
+    return estimate(sample, est, k=k, cfg=em_cfg)
 
 
 def _property_param(cfg: ExperimentConfig):

@@ -13,9 +13,10 @@ import sys
 from pathlib import Path
 
 from . import bench
+from .dist_est import ESTIMATORS, plug_in
 from .distributions import RngSeed, draw_sample, make
 from .pml_em import EmConfig, approximate_pml, sample_of_profile
-from .properties import PROPERTY_TAGS, plug_in
+from .properties import PROPERTY_TAGS
 from .uniformity import t_pml_test
 
 
@@ -51,7 +52,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("estimate", parents=[em], help="property estimate from a sample file")
     p.add_argument("--sample", required=True, help="input sample file")
     p.add_argument("--property", required=True, choices=PROPERTY_TAGS)
-    p.add_argument("--estimator", default="empirical", choices=["empirical", "pml", "tpml"])
+    p.add_argument("--estimator", default="empirical", choices=ESTIMATORS)
     p.add_argument("--alpha", type=float, default=None, help="renyi / power-sum order")
     p.add_argument("--coverage-m", type=int, default=None, help="coverage sample-size parameter")
     p.add_argument("--k", type=int, default=None)

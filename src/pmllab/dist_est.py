@@ -1,10 +1,11 @@
-"""Distribution estimators built on the PML pipeline.
+"""Distribution estimators built on the PML pipeline, and plug-in estimation.
 
 Two estimators live here: the per-symbol denoising route for plain l1
 recovery (PML multiset -> weighted-median symbol assignments -> equal-split
 missing mass over unseen symbols), and the truncated-profile estimator that
 runs EM on low multiplicities only, patches frequent symbols empirically,
-and pads the tail to restore unit mass.
+and pads the tail to restore unit mass. :func:`estimate` maps each name in
+``ESTIMATORS`` to its estimate; :func:`plug_in` evaluates a property there.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import numpy as np
 
 from .core import Distribution, Sample, profile_of
 from .pml_em import EmConfig, approximate_pml, em_pml, estimate_support
-from .properties import missing_mass_estimate
+from .properties import _checked_param, empirical_distribution, missing_mass_estimate, property_value
+
+ESTIMATORS = ("empirical", "pml", "tpml")
 
 
 def _augment_count(j: int, n: int) -> int:
@@ -32,6 +35,8 @@ def weighted_median(values, weights) -> float:
     w = np.asarray(weights, dtype=float)
     if v.size == 0 or v.size != w.size:
         raise ValueError("values and weights must be non-empty and equally long")
+    if not (np.isfinite(v).all() and np.isfinite(w).all()):
+        raise ValueError("values and weights must be finite")
     if (w < 0).any():
         raise ValueError("weights must be non-negative")
     if w.sum() <= 0.0:
@@ -59,6 +64,8 @@ def denoise(pml_vector: Distribution, sample: Sample) -> dict[int, float]:
     output is one value per observed symbol, not yet normalized.
     """
     n = sample.n
+    if n < 2:
+        raise ValueError("need at least two draws")
     cutoff = math.log(n) ** 2
     # the 1/ln(n)^2 mass exceeds 1 only at n = 2; cap it there
     mass_out = min(1.0 / cutoff, 0.999999)
@@ -88,13 +95,10 @@ def denoise(pml_vector: Distribution, sample: Sample) -> dict[int, float]:
             value_for[mult] = mult / n
             continue
         # the binomial coefficient is constant across pool entries and
-        # cancels out of the weighted median
+        # cancels out of the weighted median; the removal leaves a pool
+        # entry in (0, 1), so the largest weight is finite
         logw = mult * log_v + (n - mult) * log_1mv
-        top = logw.max()
-        if top == -np.inf:
-            value_for[mult] = mult / n  # pool fully depleted at small n
-            continue
-        value_for[mult] = _sorted_weighted_median(sorted_pool, order, np.exp(logw - top))
+        value_for[mult] = _sorted_weighted_median(sorted_pool, order, np.exp(logw - logw.max()))
     return {sym: value_for[mult] for sym, mult in sample.counts.items()}
 
 
@@ -199,3 +203,24 @@ def tpml_distribution(
     if leftover > 1e-15:
         entries.append(leftover)
     return Distribution(entries)
+
+
+def estimate(sample: Sample, estimator: str = "empirical", *, k: int | None = None,
+             cfg: EmConfig | None = None) -> Distribution:
+    """The sample's estimate by one of ``ESTIMATORS``. ``k`` is an optional
+    alphabet size: padding for empirical, the support hint for PML; TPML ignores it."""
+    if estimator == "empirical":
+        return empirical_distribution(sample, k)
+    if estimator == "pml":
+        return approximate_pml(sample, k_hint=k, cfg=cfg)
+    if estimator == "tpml":
+        return tpml_distribution(sample, cfg=cfg)
+    raise ValueError(f"unknown estimator {estimator!r}")
+
+
+def plug_in(sample: Sample, which: str, estimator: str = "empirical", param=None, *,
+            k: int | None = None, cfg: EmConfig | None = None) -> float:
+    """Evaluate a property at the sample's :func:`estimate`; the property and
+    its parameter are checked before the estimate is made."""
+    _checked_param(which, param)
+    return property_value(estimate(sample, estimator, k=k, cfg=cfg), which, param)

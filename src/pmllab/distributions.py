@@ -86,6 +86,7 @@ def _normalized(weights) -> Distribution:
 
 
 def make_uniform(k: int) -> Distribution:
+    k = _integer(k, "alphabet size")
     if k < 1:
         raise ValueError("alphabet size must be >= 1")
     return Distribution([1.0 / k] * k)
@@ -93,6 +94,7 @@ def make_uniform(k: int) -> Distribution:
 
 def make_two_step(k: int) -> Distribution:
     """Half the symbols at 2/(5k), the other half at 8/(5k)."""
+    k = _integer(k, "alphabet size")
     if k < 2 or k % 2:
         raise ValueError(f"two-step needs an even alphabet size, got {k}")
     half = k // 2
@@ -101,6 +103,7 @@ def make_two_step(k: int) -> Distribution:
 
 def make_three_step(k: int) -> Distribution:
     """Thirds of the symbols at 3/(13k), 9/(13k), and 27/(13k)."""
+    k = _integer(k, "alphabet size")
     if k < 3 or k % 3:
         raise ValueError(f"three-step needs an alphabet size divisible by 3, got {k}")
     third = k // 3
@@ -111,6 +114,7 @@ def make_three_step(k: int) -> Distribution:
 
 def make_geometric(k: int) -> Distribution:
     """p_i proportional to (1 - g)^i with g = 1/k, truncated at k and renormalized."""
+    k = _integer(k, "alphabet size")
     if k < 1:
         raise ValueError("alphabet size must be >= 1")
     if k == 1:
@@ -121,6 +125,7 @@ def make_geometric(k: int) -> Distribution:
 
 def make_zipf(k: int, s: float = 0.5) -> Distribution:
     """p_i proportional to i^(-s), truncated at k and renormalized."""
+    k = _integer(k, "alphabet size")
     if k < 1:
         raise ValueError("alphabet size must be >= 1")
     return _normalized([i ** (-s) for i in range(1, k + 1)])
@@ -132,6 +137,7 @@ def make_log_series(k: int) -> Distribution:
     For k <= 2 the weights degenerate (gamma >= 1); the limit distribution
     concentrates on the first symbol, which is what we return.
     """
+    k = _integer(k, "alphabet size")
     if k < 1:
         raise ValueError("alphabet size must be >= 1")
     if k <= 2:

@@ -3,8 +3,9 @@
 The probability of observing a given profile comes from one log-space
 dynamic program over the remaining count per multiplicity group. A pass
 takes any number of rows of probabilities: the exact E-step of the EM
-solver, its likelihood scores and the oracle's grid each run one pass over
-all their rows. Its tables are small, so a pass costs NumPy calls more than
+solver, its likelihood scores and the oracle's grid each make one call over
+all their rows, which runs them in blocks that bound the tables' memory.
+Its tables are small, so a pass costs NumPy calls more than
 arithmetic: each call builds its views and buffers once and runs two
 in-place ufunc calls per point and group. Sequence enumeration is the
 independent reference for the program; the grid-search maximizer, which
@@ -46,7 +47,22 @@ def _log_monomial_sums(lp: np.ndarray, vals: np.ndarray, counts: np.ndarray):
     distinct points each multiplicity ``vals[g]``, of
     exp(sum_s mult(s) * lp[r, s]); ``short[r, g]`` has c_g - 1 for c_g. One
     pass over the points fills a table with a row axis and one axis of
-    length c_g + 1 per group.
+    length c_g + 1 per group. The rows run in blocks of at most
+    ``_MAX_DP_STATES`` table cells, so memory stays bounded however many
+    rows there are; each row's bits do not depend on its block.
+    """
+    lp = np.atleast_2d(lp)
+    states = math.prod(int(c) + 1 for c in counts)
+    if states > _MAX_DP_STATES:
+        raise ValueError(f"instance too large: {states} dynamic-program states")
+    block = _MAX_DP_STATES // states
+    parts = [_log_monomial_block(lp[i:i + block], vals, counts)
+             for i in range(0, lp.shape[0], block)]
+    return tuple(np.concatenate(cols) for cols in zip(*parts))
+
+
+def _log_monomial_block(lp: np.ndarray, vals: np.ndarray, counts: np.ndarray):
+    """:func:`_log_monomial_sums` of one block of rows, in one pass.
 
     The pass is almost all NumPy call overhead on small tables, so every
     array it touches is made before it: the products vals x lp, each
@@ -54,10 +70,6 @@ def _log_monomial_sums(lp: np.ndarray, vals: np.ndarray, counts: np.ndarray):
     scratch buffer that every group reads through a view of its own shape
     (one buffer per group would multiply the peak memory by up to G).
     """
-    lp = np.atleast_2d(lp)
-    states = math.prod(int(c) + 1 for c in counts)
-    if states > _MAX_DP_STATES:
-        raise ValueError(f"instance too large: {states} dynamic-program states")
     groups = counts.size
     rows = (slice(None),)
     table = np.full((lp.shape[0], *(counts + 1)), -np.inf)
@@ -80,13 +92,14 @@ def _log_monomial_sums(lp: np.ndarray, vals: np.ndarray, counts: np.ndarray):
     flat = table.reshape(lp.shape[0], -1)
     stride = np.asarray(table.strides[1:]) // table.itemsize
     at = int(counts @ stride)
-    return flat[:, at], flat[:, at - stride]
+    # a copy, since a view of the column would keep the whole table alive
+    return flat[:, at].copy(), flat[:, at - stride]
 
 
 @np.errstate(divide="ignore")  # np.log of a zero entry
 def _profile_probabilities(points: np.ndarray, profile: Profile) -> np.ndarray:
     """Profile probability at every row of a probability matrix, through one
-    pass of the dynamic program.
+    call of the dynamic program.
 
     A zero entry enters as log 0 = -inf, and ``np.logaddexp(x, -inf) == x``,
     so it gives the same bits as a dropped point. Each value is capped at 1,
@@ -179,7 +192,7 @@ def exact_pml_oracle(profile: Profile, k: int) -> tuple[Distribution, float]:
     tightens the winner with 5 rounds of pairwise mass transfers at halved
     steps. The returned value is a certified lower bound on the true
     maximum. Ties go to the lexicographically smallest ascending-sorted
-    probability vector. The whole grid is scored with one pass of the
+    probability vector. The whole grid is scored with one call of the
     dynamic program behind :func:`profile_probability`;
     :func:`profile_probability_bruteforce` stays its independent reference.
     """

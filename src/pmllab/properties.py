@@ -1,5 +1,6 @@
-"""Property functionals on distributions, plug-in estimation, and the
-linear-estimator sensitivity machinery.
+"""Property functionals on distributions, the empirical distribution, and
+the linear-estimator sensitivity machinery. Plug-in estimation, which
+evaluates a functional at any estimator's output, lives in ``dist_est``.
 
 Conventions: natural logarithms everywhere, 0 * log 0 = 0, and 0^alpha = 0
 for alpha < 1 so Renyi entropies never produce infinities.
@@ -79,37 +80,6 @@ def empirical_distribution(sample: Sample, k: int | None = None) -> Distribution
     for s, c in sample.counts.items():
         vec[s] = c / sample.n
     return Distribution(vec)
-
-
-def plug_in(
-    sample: Sample,
-    which: str,
-    estimator: str = "empirical",
-    param=None,
-    *,
-    k: int | None = None,
-    cfg=None,
-) -> float:
-    """Evaluate a property at a distribution estimate of the sample.
-
-    ``estimator`` is one of empirical / pml / tpml; ``k`` is an optional
-    alphabet size (padding for empirical, support hint for PML). The
-    property and its parameter are checked before the estimate is made.
-    """
-    _checked_param(which, param)
-    if estimator == "empirical":
-        est = empirical_distribution(sample, k)
-    elif estimator == "pml":
-        from .pml_em import approximate_pml
-
-        est = approximate_pml(sample, k_hint=k, cfg=cfg)
-    elif estimator == "tpml":
-        from .dist_est import tpml_distribution
-
-        est = tpml_distribution(sample, cfg=cfg)
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}")
-    return property_value(est, which, param)
 
 
 def missing_mass_estimate(sample: Sample) -> float:

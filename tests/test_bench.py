@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pmllab import Distribution, EmConfig, RngSeed, Sample, make
+from pmllab import Distribution, EmConfig, RngSeed, Sample, approximate_pml, make, t_pml_test
 from pmllab.bench import (
     ExperimentConfig,
     parse_config,
@@ -350,6 +350,27 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out.strip() in {"0", "1"}
 
+    def test_test_uniformity_reads_a_sample_file(self, tmp_path, capsys):
+        path = tmp_path / "s.txt"
+        assert main(["sample", "--dist", "two_step", "--k", "40", "--n", "150",
+                     "--seed", "8", "--out", str(path)]) == 0
+        assert main(["test-uniformity", "--sample", str(path), "--k", "40", "--epsilon", "0.5",
+                     "--seed", "4", "--em-iters", "5", "--sweeps", "6"]) == 0
+        sample = read_sample_file(path)
+        pml = approximate_pml(sample, k_hint=40, cfg=EmConfig(5, 6, RngSeed(4).derive(2)))
+        assert capsys.readouterr().out.strip() == str(t_pml_test(sample, 40, 0.5, pml))
+
+    def test_estimator_choices(self, tmp_path, capsys):
+        path = tmp_path / "s.txt"
+        assert main(["sample", "--dist", "zipf", "--k", "30", "--n", "200",
+                     "--seed", "2", "--out", str(path)]) == 0
+        assert main(["estimate", "--sample", str(path), "--property", "entropy",
+                     "--estimator", "tpml", "--em-iters", "5", "--sweeps", "6"]) == 0
+        with pytest.raises(SystemExit) as err:
+            main(["estimate", "--sample", str(path), "--property", "entropy",
+                  "--estimator", "bayes"])
+        assert err.value.code == 1
+
     def test_test_uniformity_one_symbol_accepts(self, capsys):
         assert main(["test-uniformity", "--k", "1", "--epsilon", "0.5",
                      "--dist", "uniform", "--n", "5"]) == 0
@@ -379,6 +400,20 @@ class TestCli:
             assert main(["bench", "--config", str(config), "--out", str(out), "--svg"]) == 0
         assert (out1 / "entropy.csv").read_bytes() == (out2 / "entropy.csv").read_bytes()
         assert (out1 / "entropy_uniform.svg").read_bytes() == (out2 / "entropy_uniform.svg").read_bytes()
+
+    def test_bench_max_seconds_flag(self, tmp_path):
+        config = tmp_path / "grid.cfg"
+        config.write_text("task = entropy\ndistributions = uniform\nk = 10\nn_grid = 40, 80\n"
+                          "trials = 2\nseed = 11\nestimators = empirical\n")
+        rows = {}
+        for flags in ([], ["--max-seconds", "0"]):
+            out = tmp_path / f"out{len(flags)}"
+            assert main(["bench", "--config", str(config), "--out", str(out), *flags]) == 0
+            lines = (out / "entropy.csv").read_text().splitlines()[1:]
+            rows[len(flags)] = [line.split(",") for line in lines]
+        assert len(rows[0]) == len(rows[2]) == 2
+        assert all(r[3] != "nan" and r[5] == "2" for r in rows[0])
+        assert all(r[3] == r[4] == "nan" and r[5] == "0" for r in rows[2])
 
     def test_em_defaults_match_library(self):
         lib = EmConfig()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pmllab import (
+    FAMILIES,
     Distribution,
     EmConfig,
     Profile,
@@ -322,6 +323,7 @@ _INTEGER_BOUNDARIES = {
     "approximate_pml_k_hint": (lambda x: approximate_pml(_SMALL, x, EmConfig(em_iterations=3)), 4),
     "empirical_k": (lambda x: empirical_distribution(_SMALL, x), 4),
     "t_pml_test_k": (lambda x: t_pml_test(_SMALL, x, 0.5, make("uniform", 4)), 4),
+    **{f"make_{name}": (lambda x, name=name: make(name, x), 6) for name in FAMILIES},
 }
 
 

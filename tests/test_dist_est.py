@@ -7,6 +7,7 @@ from pmllab import (
     EmConfig,
     RngSeed,
     Sample,
+    approximate_pml,
     default_tpml_thresholds,
     denoise,
     draw_sample,
@@ -19,6 +20,7 @@ from pmllab import (
     tpml_distribution,
     weighted_median,
 )
+from pmllab.dist_est import ESTIMATORS, estimate
 
 
 class TestWeightedMedian:
@@ -42,8 +44,43 @@ class TestWeightedMedian:
         with pytest.raises(ValueError):
             weighted_median([1.0], [-1.0])
 
+    @pytest.mark.parametrize("values, weights", [
+        ([1, 2], [math.nan, 1]),
+        ([1, 2], [math.inf, 1]),
+        ([math.nan, 2], [1, 1]),
+        ([-math.inf, 2], [1, 1]),
+    ])
+    def test_rejects_non_finite(self, values, weights):
+        with pytest.raises(ValueError, match="finite"):
+            weighted_median(values, weights)
+
+
+class TestEstimate:
+    _CFG = EmConfig(em_iterations=5, mcmc_sweeps_per_estep=6, seed=RngSeed(3))
+
+    @pytest.mark.parametrize("k", [None, 60])
+    def test_each_name_is_its_library_call(self, k):
+        sample = draw_sample(make("zipf", 60), 400, RngSeed(21))
+        direct = {
+            "empirical": lambda: empirical_distribution(sample, k),
+            "pml": lambda: approximate_pml(sample, k_hint=k, cfg=self._CFG),
+            "tpml": lambda: tpml_distribution(sample, cfg=self._CFG),
+        }
+        assert tuple(direct) == ESTIMATORS
+        for name, call in direct.items():
+            got = estimate(sample, name, k=k, cfg=self._CFG)
+            assert got.as_array().tobytes() == call().as_array().tobytes(), name
+
+    def test_unknown_name(self):
+        with pytest.raises(ValueError, match="unknown estimator"):
+            estimate(Sample({0: 2}), "bayes")
+
 
 class TestDenoise:
+    def test_one_draw_is_refused(self):
+        with pytest.raises(ValueError, match="two draws"):
+            denoise(Distribution([1.0]), Sample({0: 1}))
+
     def test_frequent_symbols_keep_empirical(self):
         counts = {0: 70}
         counts.update({i: 1 for i in range(1, 31)})

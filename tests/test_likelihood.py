@@ -224,6 +224,25 @@ class TestLogMonomialSums:
         assert peak < 4 * table_bytes
 
 
+    def test_rows_run_in_blocks_under_the_state_limit(self, monkeypatch):
+        # 2^8 states under a 2^12-cell limit: 256 rows run as 16 blocks of
+        # 16, so the peak is one block's tables, not 256 rows' (about 1.8 MiB)
+        monkeypatch.setattr("pmllab.likelihood._MAX_DP_STATES", 2**12)
+        prof = Profile.from_multiplicities(range(1, 9))
+        rng = np.random.default_rng(61)
+        points = rng.random((256, 10)) + 1e-3
+        points /= points.sum(axis=1, keepdims=True)
+        tracemalloc.start()
+        try:
+            got = _profile_probabilities(points, prof)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * 1024
+        for r, row in enumerate(points):
+            assert got[r:r + 1].tobytes() == _profile_probabilities(row, prof).tobytes()
+
+
 class TestBruteforceGuard:
     def test_too_large(self):
         with pytest.raises(ValueError):
