@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .core import Distribution, Profile, Sample, _integer, sorted_l1, lp_distance
 from .dist_est import ESTIMATORS as _PLUG_IN_ESTIMATORS, estimate, estimate_unsorted_l1
 from .distributions import FAMILIES, RngSeed, as_seed, draw_sample, make
-from .pml_em import EmConfig, approximate_pml
+from .pml_em import EmConfig
 from .properties import empirical_distribution, property_value
 from .uniformity import t_pml_test
 
@@ -23,8 +23,6 @@ TASKS = ("l1", "sorted_l1", "entropy", "renyi", "support", "coverage", "uniformi
 ESTIMATORS = (*_PLUG_IN_ESTIMATORS, "empirical_nlogn")  # the last on n ln n draws
 
 CSV_HEADER = "distribution,n,estimator,mean_error,std_error,trials"
-
-_PROPERTY_TASKS = ("entropy", "renyi", "support", "coverage")
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +135,16 @@ class ExperimentConfig:
                 raise ValueError(f"unknown estimator {e!r}")
         if not self.estimators:
             raise ValueError("need at least one estimator")
+        for key in ("distributions", "estimators", "n_grid"):
+            values = getattr(self, key)
+            if len(set(values)) < len(values):
+                # repeats would write rows with the same (distribution, n, estimator) key
+                raise ValueError(f"{key} repeats a value: {values}")
         if not self.n_grid or list(self.n_grid) != sorted(self.n_grid):
             raise ValueError("n_grid must be non-empty and ascending")
+        least_n = 1 if self.estimators == ("empirical",) else 2  # PML, TPML and n ln n need 2
+        if self.n_grid[0] < least_n:
+            raise ValueError(f"n_grid entries must be >= {least_n} with estimators {self.estimators}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.k < 1:
@@ -228,8 +234,9 @@ def worker_count() -> int:
 
 def _estimate_dist(cfg: ExperimentConfig, est: str, sample: Sample, big: Sample | None,
                    em_cfg: EmConfig) -> Distribution:
-    # only the l1 task pads to the alphabet; the others use multiset estimates
-    k = cfg.k if cfg.task == "l1" else None
+    # the l1 task pads to the alphabet and the uniformity tester takes the
+    # k-hinted PML; the other tasks use multiset estimates
+    k = cfg.k if cfg.task in ("l1", "uniformity") else None
     if est == "empirical_nlogn":
         return empirical_distribution(big, k)
     if cfg.task == "l1" and est == "pml":
@@ -237,44 +244,45 @@ def _estimate_dist(cfg: ExperimentConfig, est: str, sample: Sample, big: Sample 
     return estimate(sample, est, k=k, cfg=em_cfg)
 
 
-def _property_param(cfg: ExperimentConfig):
-    if cfg.task == "renyi":
-        return cfg.alpha
-    if cfg.task == "coverage":
-        return cfg.coverage_m
-    return None
+def _error_of(cfg: ExperimentConfig, name: str, truth: Distribution):
+    """``error(estimate, sample) -> float`` of ``cfg.task`` on the family
+    ``name``, whose distribution at k is ``truth``.
+
+    The work that depends on the family alone happens here, once: the true
+    property value on the property tasks, and on the uniformity task the
+    check that a non-uniform family is at least epsilon from uniform in l1,
+    which makes its label 1 the right answer.
+    """
+    if cfg.task == "l1":
+        return lambda est, sample: lp_distance(est, truth, 1)
+    if cfg.task == "sorted_l1":
+        return lambda est, sample: sorted_l1(est, truth)
+    if cfg.task == "uniformity":
+        label = int(name != "uniform")
+        gap = property_value(truth, "dist_uniform")
+        if label and gap < cfg.epsilon:
+            raise ValueError(
+                f"{name} at k={cfg.k} is {gap:.4g} from uniform in l1, below epsilon "
+                f"{cfg.epsilon}: its label 1 would be wrong"
+            )
+        return lambda est, sample: float(t_pml_test(sample, cfg.k, cfg.epsilon, est) != label)
+    # _checked_param ignores the parameter on the tasks that take none
+    param = cfg.alpha if cfg.task == "renyi" else cfg.coverage_m
+    target = property_value(truth, cfg.task, param)
+    return lambda est, sample: abs(property_value(est, cfg.task, param) - target)
 
 
-def _trial_errors(cfg: ExperimentConfig, truth: Distribution, target: float | None,
-                  dist_name: str, n: int, trial_seed: RngSeed) -> dict[str, float]:
-    """One trial's error per estimator; ``target`` is the true property
-    value on the property tasks."""
+def _trial_errors(cfg: ExperimentConfig, truth: Distribution, error, n: int,
+                  trial_seed: RngSeed) -> dict[str, float]:
+    """One trial's error per estimator, scored by ``error`` from
+    :func:`_error_of`."""
     sample = draw_sample(truth, n, trial_seed.derive(1))
     em_cfg = cfg.em_config(trial_seed.derive(2))
     big = None
     if "empirical_nlogn" in cfg.estimators:
         big = draw_sample(truth, math.ceil(n * math.log(n)), trial_seed.derive(3))
-
-    out = {}
-    if cfg.task == "uniformity":
-        # ground truth: the non-uniform families used with this task must be
-        # at least epsilon-far from uniform in l1
-        label = 0 if dist_name == "uniform" else 1
-        pml = approximate_pml(sample, k_hint=cfg.k, cfg=em_cfg)
-        verdict = t_pml_test(sample, cfg.k, cfg.epsilon, pml)
-        out["pml"] = float(verdict != label)
-        return out
-
-    param = _property_param(cfg)
-    for est in cfg.estimators:
-        est_dist = _estimate_dist(cfg, est, sample, big, em_cfg)
-        if cfg.task == "l1":
-            out[est] = lp_distance(est_dist, truth, 1)
-        elif cfg.task == "sorted_l1":
-            out[est] = sorted_l1(est_dist, truth)
-        else:
-            out[est] = abs(property_value(est_dist, cfg.task, param) - target)
-    return out
+    return {est: error(_estimate_dist(cfg, est, sample, big, em_cfg), sample)
+            for est in cfg.estimators}
 
 
 def _mean_std(errors: list[float]) -> tuple[float, float]:
@@ -290,25 +298,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
 
     Cells that would start after the max_seconds budget is spent are
     written as sentinel rows (NaN errors, zero trials). Every family is built
-    at k, its true property value is computed on the property tasks, and on
-    the uniformity task every non-uniform one is checked to be at least
-    epsilon from uniform in l1, before the first cell runs, so a bad grid
-    fails at once rather than after hours of cells.
+    at k and its error function made by :func:`_error_of` before the first
+    cell runs, so a bad grid fails at once rather than after hours of cells.
     """
     started = time.monotonic()
     truths = {name: make(name, cfg.k) for name in cfg.distributions}
-    targets = dict.fromkeys(truths)
-    if cfg.task in _PROPERTY_TASKS:
-        targets = {name: property_value(truth, cfg.task, _property_param(cfg))
-                   for name, truth in truths.items()}
-    if cfg.task == "uniformity":
-        for name, truth in truths.items():
-            gap = property_value(truth, "dist_uniform")
-            if name != "uniform" and gap < cfg.epsilon:
-                raise ValueError(
-                    f"{name} at k={cfg.k} is {gap:.4g} from uniform in l1, below epsilon "
-                    f"{cfg.epsilon}: its label 1 would be wrong"
-                )
+    errors = {name: _error_of(cfg, name, truth) for name, truth in truths.items()}
     rows: list[ResultRow] = []
     for d_ix, dist_name in enumerate(cfg.distributions):
         truth = truths[dist_name]
@@ -318,8 +313,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                     rows.append(ResultRow(dist_name, n, est, math.nan, math.nan, 0))
                 continue
             per_trial = [
-                _trial_errors(cfg, truth, targets[dist_name], dist_name, n,
-                              cfg.seed.derive(d_ix, n_ix, t))
+                _trial_errors(cfg, truth, errors[dist_name], n, cfg.seed.derive(d_ix, n_ix, t))
                 for t in range(cfg.trials)
             ]
             for est in cfg.estimators:

@@ -13,9 +13,9 @@ import sys
 from pathlib import Path
 
 from . import bench
-from .dist_est import ESTIMATORS, plug_in
+from .dist_est import ESTIMATORS, estimate, plug_in
 from .distributions import RngSeed, draw_sample, make
-from .pml_em import EmConfig, approximate_pml, sample_of_profile
+from .pml_em import EmConfig, sample_of_profile
 from .properties import PROPERTY_TAGS
 from .uniformity import t_pml_test
 
@@ -87,7 +87,7 @@ def _cmd_sample(args) -> int:
 def _cmd_pml(args) -> int:
     profile = bench.read_profile_file(args.profile)
     cfg = _em_config(args, RngSeed(args.seed))
-    dist = approximate_pml(sample_of_profile(profile), k_hint=args.k, cfg=cfg)
+    dist = estimate(sample_of_profile(profile), "pml", k=args.k, cfg=cfg)
     bench.write_pml_file(dist, args.out)
     return 0
 
@@ -109,7 +109,7 @@ def _cmd_test_uniformity(args) -> int:
             raise ValueError("test-uniformity needs either --sample or both --dist and --n")
         sample = draw_sample(make(args.dist, args.k), args.n, RngSeed(args.seed).derive(1))
     cfg = _em_config(args, RngSeed(args.seed).derive(2))
-    pml = approximate_pml(sample, k_hint=args.k, cfg=cfg)
+    pml = estimate(sample, "pml", k=args.k, cfg=cfg)
     print(t_pml_test(sample, args.k, args.epsilon, pml))
     return 0
 

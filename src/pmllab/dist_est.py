@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import Distribution, Sample, profile_of
+from .core import Distribution, Sample, _integer, profile_of
 from .pml_em import EmConfig, approximate_pml, em_pml, estimate_support
 from .properties import _checked_param, empirical_distribution, missing_mass_estimate, property_value
 
@@ -118,8 +118,10 @@ def estimate_unsorted_l1(
     cfg = cfg or EmConfig()
     if sample.n < 2:
         raise ValueError("need at least two draws")
-    if alphabet is not None and max(sample.counts) >= alphabet:
-        raise ValueError("alphabet smaller than the observed support")
+    if alphabet is not None:
+        alphabet = _integer(alphabet, "alphabet")
+        if max(sample.counts) >= alphabet:
+            raise ValueError("alphabet smaller than the observed support")
     pml = approximate_pml(sample, k_hint=alphabet, cfg=cfg)
     assigned = denoise(pml, sample)
     unseen = 0 if alphabet is None else alphabet - len(assigned)

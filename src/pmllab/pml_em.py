@@ -372,7 +372,9 @@ def approximate_pml(
     remainder (or uses ``k_hint - #removed`` when the true alphabet size is
     supplied), runs EM on the reduced profile, scales the result by the
     unremoved mass, appends the empirical probabilities of the removed
-    symbols, and renormalizes exactly.
+    symbols, and renormalizes exactly. With ``k_hint`` the output has
+    ``k_hint`` entries, zeros in place of the EM part when every symbol is
+    frequent.
     """
     cfg = cfg or EmConfig()
     if sample.n < 2:
@@ -395,6 +397,9 @@ def approximate_pml(
             K = estimate_support(reduced)
         scale = 1.0 - split.removed_mass
         parts.append(scale * em_pml(profile_of(reduced), K, cfg).as_array())
+    elif k_hint is not None:
+        # every symbol is frequent: the unseen rest of the alphabet gets zeros
+        parts.append(np.zeros(k_hint - len(big)))
     parts.append(np.array([split.large_symbols[s] for s in big], dtype=float))
     entries = np.concatenate(parts)
     return Distribution(entries / math.fsum(entries.tolist()))

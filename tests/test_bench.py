@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pmllab import Distribution, EmConfig, RngSeed, Sample, approximate_pml, make, t_pml_test
+from pmllab import (
+    Distribution, EmConfig, RngSeed, Sample, approximate_pml, draw_sample, make, t_pml_test,
+)
 from pmllab.bench import (
     ExperimentConfig,
     parse_config,
@@ -175,6 +177,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(task="l1", distributions=("uniform",), k=10, n_grid=(100,),
                              estimators=("tpml",))
+        # sizes below what the estimators need: draw_sample needs one draw,
+        # and PML, TPML and the n ln n sample (0 draws at n = 1) need two
+        for estimators, n in [(("empirical",), 0), (("pml",), 1), (("empirical", "tpml"), 1),
+                              (("empirical_nlogn",), 1)]:
+            with pytest.raises(ValueError, match=f">= {n + 1}"):
+                ExperimentConfig(**{**base, "estimators": estimators, "n_grid": (n, 100)})
+        ExperimentConfig(**{**base, "estimators": ("empirical",), "n_grid": (1,)})  # n = 1 suffices
+        # repeats would write duplicate (distribution, n, estimator) rows
+        for key, value in [("distributions", ("uniform", "uniform")),
+                           ("estimators", ("empirical", "empirical")),
+                           ("n_grid", (50, 50))]:
+            with pytest.raises(ValueError, match=f"{key} repeats"):
+                ExperimentConfig(**{**base, key: value})
 
 
 class TestRunExperiment:
@@ -225,6 +240,26 @@ class TestRunExperiment:
         rows = run_experiment(cfg)
         for r in rows:
             assert 0.0 <= r.mean_error <= 1.0
+
+    def test_uniformity_tester_gets_the_k_hinted_pml(self, monkeypatch):
+        calls = []
+
+        def recording(sample, k, epsilon, pml):
+            calls.append((sample, pml))
+            return t_pml_test(sample, k, epsilon, pml)
+
+        monkeypatch.setattr("pmllab.bench.t_pml_test", recording)
+        cfg = self._small_cfg(task="uniformity", distributions=("uniform", "two_step"),
+                              estimators=("pml",), epsilon=0.6, k=20, n_grid=(200,))
+        run_experiment(cfg)
+        want = []
+        for d_ix, name in enumerate(cfg.distributions):
+            for t in range(cfg.trials):
+                seed = cfg.seed.derive(d_ix, 0, t)
+                sample = draw_sample(make(name, cfg.k), 200, seed.derive(1))
+                pml = approximate_pml(sample, k_hint=cfg.k, cfg=cfg.em_config(seed.derive(2)))
+                want.append((sample, pml))
+        assert calls == want
 
     def test_unbuildable_family_fails_before_any_trial(self, monkeypatch):
         ran = []

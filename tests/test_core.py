@@ -17,6 +17,7 @@ from pmllab import (
     draw_sample,
     em_pml,
     empirical_distribution,
+    estimate_unsorted_l1,
     falling_factorial_power_sum,
     lp_distance,
     make,
@@ -322,6 +323,10 @@ _INTEGER_BOUNDARIES = {
     "em_pml_K": (lambda x: em_pml(profile_of(_SMALL), x, EmConfig(em_iterations=3)), 4),
     "approximate_pml_k_hint": (lambda x: approximate_pml(_SMALL, x, EmConfig(em_iterations=3)), 4),
     "empirical_k": (lambda x: empirical_distribution(_SMALL, x), 4),
+    "estimate_unsorted_l1_alphabet": (
+        lambda x: estimate_unsorted_l1(_SMALL, x, EmConfig(em_iterations=3)),
+        6,
+    ),
     "t_pml_test_k": (lambda x: t_pml_test(_SMALL, x, 0.5, make("uniform", 4)), 4),
     **{f"make_{name}": (lambda x, name=name: make(name, x), 6) for name in FAMILIES},
 }

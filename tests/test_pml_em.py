@@ -426,6 +426,15 @@ class TestApproximatePml:
         want = 500 / sample.n
         assert min(abs(v - want) for v in d.probs) <= 1e-9 * want
 
+    def test_k_hint_sets_the_length_when_every_symbol_is_frequent(self):
+        sample = Sample({0: 1000, 1: 1000, 2: 1000})
+        assert split_large(sample).reduced_sample.n == 0
+        d = approximate_pml(sample, k_hint=10)
+        assert d.probs == (0.0,) * 7 + (1 / 3,) * 3
+        assert plug_in(sample, "dist_uniform", "pml", k=10) == pytest.approx(1.4)
+        # one light symbol takes the EM path, which had the full length already
+        assert approximate_pml(Sample({**sample.counts, 3: 1}), k_hint=10).k == 10
+
     def test_k_hint_too_small(self):
         sample = Sample({0: 1, 1: 1, 2: 2})
         with pytest.raises(ValueError):
