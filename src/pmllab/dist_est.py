@@ -60,8 +60,10 @@ def denoise(pml_vector: Distribution, sample: Sample) -> dict[int, float]:
     first, (ii) augments the pool with candidate values j/n for j up to
     ln(n)^2 (n / (j ln(n)^4) copies each, rounded), (iii) assigns each
     observed symbol either its empirical frequency (multiplicity at least
-    ln(n)^2) or the binomial-likelihood weighted median of the pool. The
-    output is one value per observed symbol, not yet normalized.
+    ln(n)^2) or the binomial-likelihood weighted median of the pool. Each
+    candidate is held once, its copy count a factor of its weight, so the
+    pool grows with ln(n)^2 rather than with n. The output is one value per
+    observed symbol, not yet normalized.
     """
     n = sample.n
     if n < 2:
@@ -79,10 +81,15 @@ def denoise(pml_vector: Distribution, sample: Sample) -> dict[int, float]:
         pool[i] -= take
         remaining -= take
         i += 1
+    copies = [1] * len(pool)
     for j in range(1, horizon + 1):
-        pool.extend([j / n] * _augment_count(j, n))
+        c = _augment_count(j, n)
+        if c:
+            pool.append(j / n)
+            copies.append(c)
 
     arr = np.asarray(pool)
+    copies = np.asarray(copies, dtype=float)
     neg_inf = np.full(arr.shape, -np.inf)
     log_v = np.log(arr, out=neg_inf.copy(), where=arr > 0.0)
     log_1mv = np.log1p(-arr, out=neg_inf.copy(), where=arr < 1.0)
@@ -98,7 +105,8 @@ def denoise(pml_vector: Distribution, sample: Sample) -> dict[int, float]:
         # cancels out of the weighted median; the removal leaves a pool
         # entry in (0, 1), so the largest weight is finite
         logw = mult * log_v + (n - mult) * log_1mv
-        value_for[mult] = _sorted_weighted_median(sorted_pool, order, np.exp(logw - logw.max()))
+        weights = np.exp(logw - logw.max()) * copies
+        value_for[mult] = _sorted_weighted_median(sorted_pool, order, weights)
     return {sym: value_for[mult] for sym, mult in sample.counts.items()}
 
 

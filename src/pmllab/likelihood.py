@@ -5,11 +5,13 @@ dynamic program over the remaining count per multiplicity group. A pass
 takes any number of rows of probabilities: the exact E-step of the EM
 solver, its likelihood scores and the oracle's grid each make one call over
 all their rows, which runs them in blocks that bound the tables' memory.
-Its tables are small, so a pass costs NumPy calls more than
-arithmetic: each call builds its views and buffers once and runs two
-in-place ufunc calls per point and group. Sequence enumeration is the
-independent reference for the program; the grid-search maximizer, which
-validates the EM solver, scores through it.
+Its tables are small, so a pass costs NumPy calls more than arithmetic.
+The table keeps the row axis last, so each of the two in-place ufunc calls
+per point and group runs its inner loop over contiguous rows, and the
+table, its views and buffers are made once per block, or once per EM run
+for the exact E-step, which reuses them on every iteration. Sequence
+enumeration is the independent reference for the program; the grid-search
+maximizer, which validates the EM solver, scores through it.
 """
 
 from __future__ import annotations
@@ -46,54 +48,73 @@ def _log_monomial_sums(lp: np.ndarray, vals: np.ndarray, counts: np.ndarray):
     (1-D: one row). ``full[r]`` logs the sum, over the ways to give c_g
     distinct points each multiplicity ``vals[g]``, of
     exp(sum_s mult(s) * lp[r, s]); ``short[r, g]`` has c_g - 1 for c_g. One
-    pass over the points fills a table with a row axis and one axis of
-    length c_g + 1 per group. The rows run in blocks of at most
-    ``_MAX_DP_STATES`` table cells, so memory stays bounded however many
-    rows there are; each row's bits do not depend on its block.
+    pass over the points fills a table with one axis of length c_g + 1 per
+    group and the row axis last (see :class:`_MonomialPass`). The rows run
+    in blocks of at most ``_MAX_DP_STATES`` table cells, each block through
+    tables built for it, so memory stays bounded however many rows there
+    are; each row's bits do not depend on its block.
     """
     lp = np.atleast_2d(lp)
-    states = math.prod(int(c) + 1 for c in counts)
-    if states > _MAX_DP_STATES:
-        raise ValueError(f"instance too large: {states} dynamic-program states")
-    block = _MAX_DP_STATES // states
-    parts = [_log_monomial_block(lp[i:i + block], vals, counts)
-             for i in range(0, lp.shape[0], block)]
+    block = _MAX_DP_STATES // _dp_states(counts)
+    parts = [_MonomialPass(vals, counts, rows.shape[0]).run(rows)
+             for rows in (lp[i:i + block] for i in range(0, lp.shape[0], block))]
     return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
-def _log_monomial_block(lp: np.ndarray, vals: np.ndarray, counts: np.ndarray):
-    """:func:`_log_monomial_sums` of one block of rows, in one pass.
+def _dp_states(counts: np.ndarray) -> int:
+    """Cells per row of the dynamic program's table; above ``_MAX_DP_STATES``
+    the instance is refused."""
+    states = math.prod(int(c) + 1 for c in counts)
+    if states > _MAX_DP_STATES:
+        raise ValueError(f"instance too large: {states} dynamic-program states")
+    return states
 
-    The pass is almost all NumPy call overhead on small tables, so every
-    array it touches is made before it: the products vals x lp, each
-    group's view of the table and of the previous point's copy, and one
+
+class _MonomialPass:
+    """The tables of :func:`_log_monomial_sums` for a fixed multiset and
+    number of rows, made once and reused by every :meth:`run`.
+
+    A pass costs NumPy calls more than arithmetic on these small tables, so
+    everything it touches is made here: the table, whose row axis is last
+    so that every group's shifted view runs its inner loop over contiguous
+    rows, the previous point's copy, each group's view of both, and one
     scratch buffer that every group reads through a view of its own shape
-    (one buffer per group would multiply the peak memory by up to G).
+    (one buffer per group would multiply the peak memory by up to G). The
+    exact EM makes one per run and calls :meth:`run` once per E-step.
     """
-    groups = counts.size
-    rows = (slice(None),)
-    table = np.full((lp.shape[0], *(counts + 1)), -np.inf)
-    table[rows + (0,) * groups] = 0.0
-    prev = np.empty_like(table)
-    scratch = np.empty(table.size)
-    dst, src, tmp = [], [], []
-    for g in range(groups):
-        dst.append(table[rows * (g + 1) + (slice(1, None),)])
-        src.append(prev[rows * (g + 1) + (slice(None, -1),)])
-        tmp.append(scratch[: src[g].size].reshape(src[g].shape))
-    # vl[s, g] is vals[g] * lp[:, s], shaped to broadcast over a group's view
-    vl = (lp.T[:, None, :] * vals[:, None])[(...,) + (None,) * groups]
-    for point in vl:
-        np.copyto(prev, table)
-        for d, s, t, v in zip(dst, src, tmp, point):
-            np.add(s, v, out=t)
-            np.logaddexp(d, t, out=d)
-    # the cell of counts c, and of c less one symbol of group g, per row
-    flat = table.reshape(lp.shape[0], -1)
-    stride = np.asarray(table.strides[1:]) // table.itemsize
-    at = int(counts @ stride)
-    # a copy, since a view of the column would keep the whole table alive
-    return flat[:, at].copy(), flat[:, at - stride]
+
+    def __init__(self, vals: np.ndarray, counts: np.ndarray, rows: int):
+        _dp_states(counts)
+        self.vals = vals[:, None]
+        self.table = np.empty((*(counts + 1), rows))
+        self.prev = np.empty_like(self.table)
+        scratch = np.empty(self.table.size)
+        lead = (slice(None),) * counts.size
+        self.views = []
+        for g in range(counts.size):
+            dst = self.table[lead[:g] + (slice(1, None),)]
+            src = self.prev[lead[:g] + (slice(None, -1),)]
+            self.views.append((dst, src, scratch[: src.size].reshape(src.shape)))
+        # the cell of counts c, and the cells of c less one symbol of each group
+        self.flat = self.table.reshape(-1, rows)
+        stride = np.asarray(self.table.strides[:-1]) // (rows * self.table.itemsize)
+        self.at = int(counts @ stride)
+        self.short_at = self.at - stride
+
+    def run(self, lp: np.ndarray):
+        """(full, short) of :func:`_log_monomial_sums` for the rows of ``lp``
+        (2-D, one row per table row); both are fresh arrays, not views of
+        the table."""
+        table = self.table
+        table.fill(-np.inf)
+        table[(0,) * (table.ndim - 1)] = 0.0
+        # vl[s, g] is vals[g] * lp[:, s], a row vector for a group's view
+        for point in lp.T[:, None, :] * self.vals:
+            np.copyto(self.prev, table)
+            for (d, s, t), v in zip(self.views, point):
+                np.add(s, v, out=t)
+                np.logaddexp(d, t, out=d)
+        return self.flat[self.at].copy(), np.ascontiguousarray(self.flat[self.short_at].T)
 
 
 @np.errstate(divide="ignore")  # np.log of a zero entry

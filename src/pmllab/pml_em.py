@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import Distribution, Profile, Sample, _integer, profile_of
 from .distributions import RngSeed, as_seed
-from .likelihood import _log_monomial_sums, _multiplicity_groups, _profile_probabilities
+from .likelihood import _MonomialPass, _multiplicity_groups, _profile_probabilities
 
 #: Take the E-step exactly up to these sizes, sample beyond them.
 _EXACT_M_LIMIT = 8
@@ -161,9 +161,9 @@ def _empirical_start(mults: np.ndarray, K: int) -> np.ndarray:
     return q / q.sum()
 
 
-def _exact_estep_mass(q: np.ndarray, vals: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Expected multiplicity mass per support point, exactly, for each row
-    of ``q`` (S starts over K points).
+def _exact_estep(vals: np.ndarray, counts: np.ndarray, S: int, K: int):
+    """The exact E-step for S starts over K points, as a function from the
+    (S, K) iterate to the expected multiplicity mass per support point.
 
     Point s hosts a symbol of multiplicity v with probability q_s^v times
     the monomial sum of the rest of the multiset over the other points,
@@ -171,16 +171,29 @@ def _exact_estep_mass(q: np.ndarray, vals: np.ndarray, counts: np.ndarray) -> np
     pass of the dynamic program gives both for every start, over K + 1 rows
     of log q per start: row s leaves point s out (log q_s = -inf) and the
     last row keeps every point. ``vals`` and ``counts`` are the multiplicity
-    groups of the profile.
+    groups of the profile. The rows, their -inf diagonal and the program's
+    tables are made here, once; each call overwrites every cell it reads.
     """
-    lq = np.log(np.maximum(q, _LOG_FLOOR))
-    S, K = lq.shape
-    rows = np.repeat(lq, K + 1, axis=0)
-    rows.reshape(S, -1)[:, :: K + 1] = -np.inf  # row s of each start, point s
-    full, short = _log_monomial_sums(rows, vals, counts)
-    full = full[K :: K + 1, None, None]
-    short = short.reshape(S, K + 1, -1)[:, :K]
-    return np.exp(vals * lq[..., None] + short - full) @ vals
+    dp = _MonomialPass(vals, counts, S * (K + 1))
+    rows = np.full((S, K + 1, K), -np.inf)
+    kept = ~np.eye(K + 1, K, dtype=bool)  # row s of each start drops point s
+
+    def mass(q: np.ndarray) -> np.ndarray:
+        lq = np.log(np.maximum(q, _LOG_FLOOR))
+        np.copyto(rows, lq[:, None, :], where=kept)
+        full, short = dp.run(rows.reshape(S * (K + 1), K))
+        full = full[K :: K + 1, None, None]
+        short = short.reshape(S, K + 1, -1)[:, :K]
+        return np.exp(vals * lq[..., None] + short - full) @ vals
+
+    return mass
+
+
+def _exact_estep_mass(q: np.ndarray, vals: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Expected multiplicity mass per support point, exactly, for each row
+    of ``q`` (S starts over K points), through tables made for this call
+    alone (see :func:`_exact_estep`)."""
+    return _exact_estep(vals, counts, *q.shape)(q)
 
 
 @np.errstate(divide="ignore")  # np.log of a uniform draw of exactly 0.0
@@ -283,8 +296,9 @@ def _em_exact(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig):
         # desk scale is cheap enough to certify both basins by likelihood
         starts.append(_empirical_start(mults, K))
     iterates = [np.stack(starts)]
+    estep = _exact_estep(vals, counts, *iterates[0].shape)
     for _ in range(cfg.em_iterations):
-        mass = _exact_estep_mass(iterates[-1], vals, counts)
+        mass = estep(iterates[-1])
         iterates.append(mass / mass.sum(axis=1, keepdims=True))
     best = int(np.argmax(_scores(iterates[-1], profile)))  # the first start on a tie
     for q in iterates:

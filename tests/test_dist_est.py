@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from pmllab import (
@@ -20,7 +22,7 @@ from pmllab import (
     tpml_distribution,
     weighted_median,
 )
-from pmllab.dist_est import ESTIMATORS, estimate
+from pmllab.dist_est import ESTIMATORS, _augment_count, estimate
 
 
 class TestWeightedMedian:
@@ -128,6 +130,44 @@ class TestDenoise:
         assert assigned[0] == pytest.approx(expect, abs=1e-15)
         assert assigned[1] == assigned[0]
         assert assigned[2] == pytest.approx((n - 2) / n)
+
+    def test_copy_counts_weigh_like_literal_copies(self):
+        # at n = 1e6 the schedule adds 132 copies of 54 candidates j/n, up to
+        # 27 of one value: the pool with literal copies gives the same medians
+        n = 10**6
+        sample = Sample({0: n - 60, 1: 1, 2: 2, 3: 3, 4: 5, 5: 9, 6: 40})
+        pml = Distribution([0.9] + [0.1 / 50] * 50)
+        assigned = denoise(pml, sample)
+
+        pool = sorted(pml.probs, reverse=True)
+        remaining = 1 / math.log(n) ** 2
+        for i in range(len(pool)):
+            take = min(pool[i], remaining)
+            pool[i] -= take
+            remaining -= take
+        for j in range(1, math.ceil(math.log(n) ** 2) + 1):
+            pool.extend([j / n] * _augment_count(j, n))
+        assert len(pool) == 51 + 132
+        v = np.asarray(pool)
+        for sym, mult in sample.counts.items():
+            if mult < math.log(n) ** 2:
+                logw = mult * np.log(v) + (n - mult) * np.log1p(-v)
+                assert assigned[sym] == weighted_median(v, np.exp(logw - logw.max())), mult
+
+    def test_memory_does_not_grow_with_the_copy_counts(self):
+        # n = 1e10 asks for 243,790 copies of the candidates j/n, about
+        # 9 MiB held one by one; with counts as weights the pool holds the
+        # PML entries and at most 531 candidates
+        sample = Sample({0: 6 * 10**9, 1: 4 * 10**9 - 10, 2: 4, 3: 6})
+        tracemalloc.start()
+        try:
+            est = estimate_unsorted_l1(sample, cfg=EmConfig(em_iterations=5, seed=RngSeed(0)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert est.k == 4
+        assert math.isclose(math.fsum(est.probs), 1.0, abs_tol=1e-12)
 
 
 class TestEstimateUnsortedL1:
@@ -271,3 +311,4 @@ class TestTpmlDistribution:
                 prev = b
             best = max(best, truncated_likelihood(Distribution(row), tprof))
         assert got >= 0.5 * best
+

@@ -13,6 +13,7 @@ from pmllab import (
     Profile,
     RngSeed,
     Sample,
+    em_pml_trace,
     profile_of,
     remd_truncated,
     sorted_l1,
@@ -124,3 +125,21 @@ def test_distribution_normalisation(weights, drift):
     dist = Distribution([w / total * (1.0 + drift) for w in weights])
     assert min(dist.probs) >= 0.0
     assert math.isclose(math.fsum(dist.probs), 1.0, abs_tol=1e-12)
+
+
+@st.composite
+def _exact_em_instance(draw):
+    """A profile of m <= 8 symbols and a support size K in [m, 10]: the
+    exact E-step's range."""
+    mults = draw(st.lists(st.integers(1, 8), min_size=1, max_size=8))
+    return Profile.from_multiplicities(mults), draw(st.integers(len(mults), 10))
+
+
+@_examples
+@given(instance=_exact_em_instance(), iterations=st.integers(1, 6))
+def test_exact_em_likelihood_never_decreases(instance, iterations):
+    # EM cannot lower the likelihood; only the rounding of the exponential,
+    # a few ulps, may
+    profile, K = instance
+    _, trace = em_pml_trace(profile, K, EmConfig(em_iterations=iterations))
+    assert all(b >= a * (1 - 1e-12) for a, b in zip(trace, trace[1:])), trace

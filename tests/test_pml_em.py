@@ -202,7 +202,7 @@ class TestEmPml:
 
     def test_leave_one_out_rows_match_an_identity_mask(self):
         # the rows built with np.where over np.eye, as a reference for the
-        # strided fill of -inf
+        # E-step's in-place fill around its -inf diagonal
         rng = np.random.default_rng(23)
         for _ in range(40):
             K = int(rng.integers(1, 11))
@@ -252,6 +252,33 @@ class TestEmPml:
                 assert got.as_array().tobytes() == want.as_array().tobytes(), (K, prof)
                 assert got_trace == want_trace, (K, prof)
                 assert em_pml(prof, K, cfg).as_array().tobytes() == want.as_array().tobytes()
+
+    def test_tables_reused_across_esteps_carry_nothing_over(self):
+        # the exact EM makes its rows and the program's tables once per run;
+        # each E-step must give the bits of one made with new tables. One
+        # start (S = 1) at K = 1, two starts (S = 2) above.
+        rng = random.Random(71)
+        cases = [(Profile({3: 1}), 1), (Profile({1: 1}), 1)]
+        for K in range(2, 11):
+            mults = [rng.randint(1, 5) for _ in range(rng.randint(1, min(K, 8)))]
+            cases.append((Profile.from_multiplicities(mults), K))
+        cfg = EmConfig(em_iterations=12)
+        for prof, K in cases:
+            mults = np.asarray(prof.multiplicities(), dtype=float)
+            groups = np.unique(mults, return_counts=True)
+            q = np.stack([_tilted_uniform(K)] + ([_empirical_start(mults, K)] if K >= 2 else []))
+            want = [q]
+            for _ in range(cfg.em_iterations):
+                mass = _exact_estep_mass(q, *groups)
+                q = mass / mass.sum(axis=1, keepdims=True)
+                want.append(q)
+            ends = [profile_probability(Distribution(row), prof) for row in q]
+            best = ends.index(max(ends))
+            got = list(_em_run(prof, K, cfg))
+            assert [g.tobytes() for g in got] == [w[best].tobytes() for w in want], (K, prof)
+            dist, trace = em_pml_trace(prof, K, cfg)
+            assert dist.as_array().tobytes() == Distribution(want[-1][best]).as_array().tobytes()
+            assert trace == [profile_probability(Distribution(w[best]), prof) for w in want]
 
     def test_sampled_trace_ends_at_the_estimate(self):
         rng = random.Random(67)
