@@ -10,12 +10,10 @@ from .core import (
     Distribution,
     Profile,
     Sample,
-    TruncatedProfile,
     lp_distance,
     profile_of,
     remd_truncated,
     sorted_l1,
-    truncate_profile,
     wasserstein1_multiset,
 )
 from .dist_est import (
@@ -76,7 +74,6 @@ __all__ = [
     "RngSeed",
     "Sample",
     "SplitResult",
-    "TruncatedProfile",
     "approximate_pml",
     "default_tpml_thresholds",
     "denoise",
@@ -111,6 +108,5 @@ __all__ = [
     "split_large",
     "t_pml_test",
     "tpml_distribution",
-    "truncate_profile",
     "wasserstein1_multiset",
 ]

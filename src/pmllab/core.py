@@ -98,10 +98,6 @@ class Distribution:
         """The entries as a read-only array (no copy)."""
         return self._p
 
-    def min_nonzero(self) -> float:
-        """Smallest positive entry; 1.0 for a point mass."""
-        return float(self._p[self._p > 0.0].min())
-
 
 @dataclass(frozen=True, eq=False)
 class Sample:
@@ -220,45 +216,9 @@ class Profile:
         return cls({i: c for i, c in enumerate(phis, start=1)})
 
 
-@dataclass(frozen=True)
-class TruncatedProfile:
-    """The first ``t`` prevalences of a profile, with the original sample size."""
-
-    t: int
-    prevalences: tuple[int, ...]
-    n: int
-
-    def __init__(self, t: int, prevalences: Iterable[int], n: int):
-        t = _integer(t, "truncation index")
-        if t < 1:
-            raise ValueError("truncation index must be >= 1")
-        n = _integer(n, "sample size n")
-        prevs = tuple(_integer(c, "prevalence") for c in prevalences)
-        if len(prevs) != t:
-            raise ValueError(f"expected {t} prevalences, got {len(prevs)}")
-        if any(c < 0 for c in prevs):
-            raise ValueError("prevalences must be non-negative")
-        mass = sum(i * c for i, c in enumerate(prevs, start=1))
-        if mass > n:
-            raise ValueError(f"truncated mass {mass} exceeds sample size {n}")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "prevalences", prevs)
-        object.__setattr__(self, "n", n)
-
-    def phi(self, i: int) -> int:
-        return self.prevalences[i - 1] if 1 <= i <= self.t else 0
-
-
 def profile_of(sample: Sample) -> Profile:
     """Prevalence vector of a sample: phi_i = #symbols seen exactly i times."""
     return Profile(Counter(sample.counts.values()), sample.n)
-
-
-def truncate_profile(profile: Profile, t: int) -> TruncatedProfile:
-    """First ``t`` prevalences, zero-padded; the sample size is preserved."""
-    if t < 1:
-        raise ValueError("truncation index must be >= 1")
-    return TruncatedProfile(t, profile.dense(t), profile.n)
 
 
 def lp_distance(p: Distribution, q: Distribution, order: int) -> float:

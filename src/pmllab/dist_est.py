@@ -14,11 +14,18 @@ import math
 
 import numpy as np
 
-from .core import Distribution, Sample, _integer, profile_of
-from .pml_em import EmConfig, approximate_pml, em_pml, estimate_support
+from .core import Distribution, Sample, _integer
+# em_pml is not called here: perfbench's tests check that tracing rebinds it
+# in this module too
+from .pml_em import EmConfig, _light_em, _split, approximate_pml, em_pml  # noqa: F401
 from .properties import _checked_param, empirical_distribution, missing_mass_estimate, property_value
 
 ESTIMATORS = ("empirical", "pml", "tpml")
+
+#: TPML refuses a padding value that would take more than max(n, _MAX_PADS)
+#: entries to fill the missing mass; the default thresholds need fewer than
+#: n / alpha_n.
+_MAX_PADS = 2**20
 
 
 def _augment_count(j: int, n: int) -> int:
@@ -169,7 +176,13 @@ def tpml_distribution(
     band in between is dropped), so beta_n must be at least alpha_n.
     Entries of value gamma_n are appended while the total is below 1, the
     last one is dropped if it overshoots 1, and one final entry restores
-    the total to exactly 1.
+    the total to exactly 1. A gamma_n too small to fill the missing mass in
+    max(n, 2**20) entries, or to move a total near 1, is a ``ValueError``.
+
+    The split and the EM are :mod:`pml_em`'s core, shared with
+    ``approximate_pml``. That is a gap from TPML's definition, which
+    maximizes the probability of the truncated profile at sample size n:
+    the EM here runs on the light sub-sample at its own size.
     """
     cfg = cfg or EmConfig()
     n = sample.n
@@ -185,22 +198,20 @@ def tpml_distribution(
         raise ValueError(f"beta_n ({beta_n}) must be >= alpha_n ({alpha_n})")
     if gamma_n <= 0:
         raise ValueError("padding value must be positive")
-    t = math.floor(alpha_n)
 
+    # for an integer count c, c > beta_n exactly when c >= floor(beta_n) + 1
+    split = _split(sample, math.floor(alpha_n) + 1, math.floor(beta_n) + 1)
     entries: list[float] = []
-    light_sample = sample.rarer_than(t + 1)
-    if light_sample.n:
-        K = estimate_support(light_sample)
-        scale = light_sample.n / n
-        est = em_pml(profile_of(light_sample), K, cfg)
-        p = est.as_array()
-        entries.extend((scale * p[p > 0.0]).tolist())
-    for s in sorted(sample.counts):
-        c = sample.counts[s]
-        if c > beta_n:
-            entries.append(c / n)
+    p = _light_em(split, None, cfg)
+    if p is not None:
+        entries.extend((split.reduced_sample.n / n * p[p > 0.0]).tolist())
+    entries.extend(split.large_symbols.values())
 
     total = math.fsum(entries)
+    if total < 1.0 - 1e-12 and ((1.0 - total) / gamma_n > max(n, _MAX_PADS) or 1.0 - gamma_n == 1.0):
+        # past the first bound the pads exhaust memory; past the second,
+        # total + gamma_n == total once the total nears 1 and the loop stalls
+        raise ValueError(f"padding value {gamma_n} is too small to fill the missing mass {1.0 - total}")
     while total < 1.0 - 1e-12:
         entries.append(gamma_n)
         total += gamma_n

@@ -1,9 +1,13 @@
 """Approximate profile maximum likelihood via EM over latent symbol
 assignments.
 
-The pipeline has four stages: split off frequent symbols and keep their
-empirical estimates, pick an output support size for the remainder, run EM
-on the remaining profile, then reassemble and renormalize.
+Both PML estimators, :func:`approximate_pml` here and
+``dist_est.tpml_distribution``, share one core: split the sample by
+multiplicity into a light part and the empirical frequencies of its heavy
+symbols, pick an output support size for the light part, and run EM on the
+light profile. Each estimator keeps only its finish: :func:`approximate_pml`
+scales the EM estimate by the light mass, appends the heavy frequencies and
+renormalizes; TPML drops the band between its two thresholds and pads.
 
 The EM treats the injective assignment of observed distinct symbols to
 output support points as the latent variable. The E-step is exact on small
@@ -94,14 +98,21 @@ class SplitResult:
             raise ValueError(f"removed mass {self.removed_mass} outside [0, 1]")
 
 
+def _split(sample: Sample, light_below: float, heavy_from: float) -> SplitResult:
+    """The symbols seen fewer than ``light_below`` times, and the empirical
+    frequencies, in symbol order, of those seen at least ``heavy_from``
+    times; a band in between belongs to neither."""
+    heavy = {s: c / sample.n for s, c in sorted(sample.counts.items()) if c >= heavy_from}
+    return SplitResult(heavy, sample.rarer_than(light_below), math.fsum(heavy.values()))
+
+
 def split_large(sample: Sample) -> SplitResult:
     """Move symbols with multiplicity >= 1.5 * ln(n)^2 to
     empirical estimates and keep the rest."""
     if sample.n < 2:
         raise ValueError("need at least two draws")
     tau = split_threshold(sample.n)
-    large = {s: c / sample.n for s, c in sorted(sample.counts.items()) if c >= tau}
-    return SplitResult(large, sample.rarer_than(tau), math.fsum(large.values()))
+    return _split(sample, tau, tau)
 
 
 def estimate_support(sample: Sample) -> int:
@@ -375,6 +386,18 @@ def em_pml_trace(profile: Profile, K: int, cfg: EmConfig | None = None):
     return Distribution(iterates[-1]), _scores(iterates, profile)
 
 
+def _light_em(split: SplitResult, k_hint: int | None, cfg: EmConfig) -> np.ndarray | None:
+    """The EM estimate on the light part's profile, not yet scaled to the
+    light mass; None when the light part is empty. Its support size is
+    ``k_hint`` less the heavy symbols when a hint is given, else
+    :func:`estimate_support` of the light part."""
+    light = split.reduced_sample
+    if not light.n:
+        return None
+    K = estimate_support(light) if k_hint is None else k_hint - len(split.large_symbols)
+    return em_pml(profile_of(light), K, cfg).as_array()
+
+
 def approximate_pml(
     sample: Sample,
     k_hint: int | None = None,
@@ -395,27 +418,18 @@ def approximate_pml(
         raise ValueError("need at least two draws")
     if k_hint is not None:
         k_hint = _integer(k_hint, "alphabet hint")
+        if k_hint < sample.distinct:
+            raise ValueError(
+                f"alphabet hint {k_hint} is smaller than the {sample.distinct} distinct symbols observed"
+            )
     split = split_large(sample)
-    reduced = split.reduced_sample
-    big = sorted(split.large_symbols)
-    if k_hint is not None and k_hint < len(big) + reduced.distinct:
-        raise ValueError(
-            f"alphabet hint {k_hint} is smaller than the {len(big) + reduced.distinct} "
-            "distinct symbols observed"
-        )
-    parts = []
-    if reduced.n:
-        if k_hint is not None:
-            K = k_hint - len(big)
-        else:
-            K = estimate_support(reduced)
-        scale = 1.0 - split.removed_mass
-        parts.append(scale * em_pml(profile_of(reduced), K, cfg).as_array())
-    elif k_hint is not None:
+    light = _light_em(split, k_hint, cfg)
+    if light is not None:
+        light = (1.0 - split.removed_mass) * light
+    else:
         # every symbol is frequent: the unseen rest of the alphabet gets zeros
-        parts.append(np.zeros(k_hint - len(big)))
-    parts.append(np.array([split.large_symbols[s] for s in big], dtype=float))
-    entries = np.concatenate(parts)
+        light = np.zeros(0 if k_hint is None else k_hint - len(split.large_symbols))
+    entries = np.concatenate((light, np.fromiter(split.large_symbols.values(), float)))
     return Distribution(entries / math.fsum(entries.tolist()))
 
 

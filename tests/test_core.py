@@ -12,7 +12,6 @@ from pmllab import (
     Profile,
     RngSeed,
     Sample,
-    TruncatedProfile,
     approximate_pml,
     draw_sample,
     em_pml,
@@ -25,7 +24,6 @@ from pmllab import (
     remd_truncated,
     sorted_l1,
     t_pml_test,
-    truncate_profile,
     wasserstein1_multiset,
 )
 from pmllab.bench import ExperimentConfig
@@ -150,25 +148,6 @@ class TestSampleAndProfile:
         assert hash(Profile({1: 2})) == hash(Profile({1: 2, 3: 0}))
 
 
-class TestTruncateProfile:
-    def test_prefix(self):
-        t = truncate_profile(Profile.from_dense((0, 2, 1)), 2)
-        assert t.prevalences == (0, 2)
-        assert t.n == 7
-
-    def test_zero_padded(self):
-        t = truncate_profile(Profile.from_dense((3,)), 5)
-        assert t.prevalences == (3, 0, 0, 0, 0)
-
-    def test_identity_when_t_covers_all(self):
-        t = truncate_profile(Profile.from_dense((0, 2, 1)), 3)
-        assert t.prevalences == (0, 2, 1)
-
-    def test_rejects_bad_t(self):
-        with pytest.raises(ValueError):
-            truncate_profile(Profile.from_dense((1,)), 0)
-
-
 class TestLpDistance:
     def test_identity(self):
         p = Distribution([0.3, 0.7])
@@ -284,9 +263,6 @@ _INTEGER_BOUNDARIES = {
     "profile_dense": (lambda x: Profile({1: 2, 2: 1, 3: 1}).dense(x), 2),
     "power_sum_order": (lambda x: falling_factorial_power_sum(_SMALL, x), 2),
     "from_multiplicities": (lambda x: Profile.from_multiplicities([x, 2]), 1),
-    "truncated_t": (lambda x: TruncatedProfile(x, [1, 1], 10), 2),
-    "truncated_prevalence": (lambda x: TruncatedProfile(2, [x, 1], 10), 1),
-    "truncated_n": (lambda x: TruncatedProfile(2, [1, 1], x), 10),
     "draw_sample_n": (lambda x: draw_sample(make("uniform", 5), x, RngSeed(1)), 20),
     "experiment_n_grid": (
         lambda x: ExperimentConfig(task="entropy", distributions=("uniform",), k=10, n_grid=(x,)),

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -272,34 +273,44 @@ class TestTpmlDistribution:
         with pytest.raises(ValueError, match="beta_n"):
             tpml_distribution(sample, (3.0, 2.0, 0.01))
 
+    @pytest.mark.parametrize("counts, thresholds", [
+        # 10/12 of the mass to fill in steps of 1e-17: the pads would exhaust memory
+        ({0: 1, 1: 1, 2: 5, 3: 5}, (2.0, 10.0, 1e-17)),
+        # 2e-12 missing at n = 1e12 takes few pads, but total + 5e-17 == total
+        ({0: 1, 1: 2, 2: 10**12}, (1.0, 2.5, 5e-17)),
+    ])
+    def test_rejects_a_padding_value_too_small_to_finish(self, counts, thresholds):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="padding value"):
+            tpml_distribution(Sample(counts), thresholds)
+        assert time.perf_counter() - start < 1.0
+
     def test_truncated_likelihood_against_enumeration(self):
         # at n = 6 the extensions of a truncated profile are enumerable, so
         # the heavy-residual surrogate can be scored exactly
         import itertools
 
-        from pmllab import (
-            enumerate_profiles,
-            profile_of,
-            profile_probability,
-            truncate_profile,
-        )
+        from pmllab import enumerate_profiles, profile_of, profile_probability
 
-        def truncated_likelihood(dist, tprof):
+        # the truncated profile: its first t prevalences, at the full n
+        sample = Sample({0: 3, 1: 2, 2: 1})
+        t, n = 2, sample.n
+        phis = profile_of(sample).dense(t)
+
+        def truncated_likelihood(dist):
             total = 0.0
-            for prof in enumerate_profiles(tprof.n):
+            for prof in enumerate_profiles(n):
                 if prof.m > dist.k:
                     continue
-                if all(prof.phi(i) == tprof.phi(i) for i in range(1, tprof.t + 1)):
+                if prof.dense(t) == phis:
                     total += profile_probability(dist, prof)
             return total
 
-        sample = Sample({0: 3, 1: 2, 2: 1})
-        tprof = truncate_profile(profile_of(sample), 2)
         est = tpml_distribution(sample, (2.0, 2.5, 0.2), cfg=EmConfig(seed=RngSeed(1), em_iterations=100))
-        got = truncated_likelihood(est, tprof)
+        got = truncated_likelihood(est)
 
         empirical = Distribution([3 / 6, 2 / 6, 1 / 6])
-        assert got >= truncated_likelihood(empirical, tprof)
+        assert got >= truncated_likelihood(empirical)
 
         steps = 12
         best = 0.0
@@ -309,6 +320,6 @@ class TestTpmlDistribution:
             for b in (*bars, steps + 3):
                 row.append((b - prev - 1) / steps)
                 prev = b
-            best = max(best, truncated_likelihood(Distribution(row), tprof))
+            best = max(best, truncated_likelihood(Distribution(row)))
         assert got >= 0.5 * best
 

@@ -4,6 +4,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +14,7 @@ from pmllab import (
     Profile,
     RngSeed,
     Sample,
+    approximate_pml,
     em_pml_trace,
     profile_of,
     remd_truncated,
@@ -143,3 +145,53 @@ def test_exact_em_likelihood_never_decreases(instance, iterations):
     profile, K = instance
     _, trace = em_pml_trace(profile, K, EmConfig(em_iterations=iterations))
     assert all(b >= a * (1 - 1e-12) for a, b in zip(trace, trace[1:])), trace
+
+
+#: With counts up to 60, most samples have symbols past the frequent-symbol
+#: split, and some have nothing else.
+_pml_counts = st.dictionaries(st.integers(0, 60), st.integers(1, 60), min_size=1, max_size=12).filter(
+    lambda c: sum(c.values()) >= 2
+)
+
+_tiny_em = EmConfig(em_iterations=3, mcmc_sweeps_per_estep=2, seed=RngSeed(0))
+
+
+@st.composite
+def _relabelled(draw):
+    """A sample and the same sample with its symbols mapped injectively to
+    other non-negative ints."""
+    counts = draw(_pml_counts)
+    labels = draw(st.lists(st.integers(0, 10**6), min_size=len(counts), max_size=len(counts), unique=True))
+    return Sample(counts), Sample(dict(zip(labels, counts.values())))
+
+
+def _assert_valid_and_label_free(estimator, pair):
+    est, other = (estimator(sample) for sample in pair)
+    for dist in (est, other):
+        assert min(dist.probs) >= 0.0
+        assert math.isclose(math.fsum(dist.probs), 1.0, abs_tol=PROB_TOL)
+    assert np.sort(est.as_array()).tobytes() == np.sort(other.as_array()).tobytes()
+    return est
+
+
+@_examples
+@given(pair=_relabelled(), extra=st.one_of(st.none(), st.integers(0, 4)))
+def test_pml_is_label_free_and_keeps_the_hint_length(pair, extra):
+    k_hint = None if extra is None else pair[0].distinct + extra
+    est = _assert_valid_and_label_free(lambda s: approximate_pml(s, k_hint, _tiny_em), pair)
+    if k_hint is not None:
+        assert est.k == k_hint
+
+
+@_examples
+@given(
+    pair=_relabelled(),
+    thresholds=st.one_of(
+        st.none(),
+        st.tuples(st.floats(1.0, 8.0), st.floats(0.0, 8.0), st.floats(1e-3, 2.0)).map(
+            lambda t: (t[0], t[0] + t[1], t[2])
+        ),
+    ),
+)
+def test_tpml_is_label_free(pair, thresholds):
+    _assert_valid_and_label_free(lambda s: tpml_distribution(s, thresholds, _tiny_em), pair)

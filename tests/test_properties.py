@@ -52,7 +52,7 @@ class TestPropertyValue:
         # coverage within eps * k' of the support size
         eps = 1e-3
         for dist in (make("uniform", 50), make("two_step", 50)):
-            k_eff = 1.0 / dist.min_nonzero()
+            k_eff = 1.0 / min(p for p in dist.probs if p > 0.0)
             m = k_eff * math.log(1 / eps)
             s_norm = property_value(dist, "support") / k_eff
             c_norm = property_value(dist, "coverage", m) / m
