@@ -1,12 +1,23 @@
 """Experiment harness: on-disk formats, grid runner, CSV and SVG reports.
 
 All randomness flows from the configured seed through per-cell, per-trial
-derived seeds, so reruns are bit-identical. Trials run one at a time.
+derived seeds, so reruns are bit-identical. A cell's trials run in worker
+processes, one per CPU up to the trial count, when there are at least two
+of each; a trial's errors depend on its seed alone, so the rows are the
+same bits as when the trials run one at a time in this process.
 """
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import math
+import os
+import pickle
+import signal
+import subprocess
+import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -226,12 +237,6 @@ class ResultRow(NamedTuple):
     trials: int
 
 
-def worker_count() -> int:
-    """Trials run one at a time. Kept for the environment block of
-    perfbench/run.py, its only caller."""
-    return 1
-
-
 def _estimate_dist(cfg: ExperimentConfig, est: str, sample: Sample, big: Sample | None,
                    em_cfg: EmConfig) -> Distribution:
     # the l1 task pads to the alphabet and the uniformity tester takes the
@@ -285,6 +290,149 @@ def _trial_errors(cfg: ExperimentConfig, truth: Distribution, error, n: int,
             for est in cfg.estimators}
 
 
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def worker_count() -> int:
+    """The number of worker processes that run the trials of a cell with at
+    least that many trials; 1 means that trials run in this process."""
+    return _cpus()
+
+
+def _serve() -> None:
+    """Loop of a trial worker: read pickled ``(cfg, family, n, trial_seed)``
+    tasks from stdin until it closes, and write one pickled ``(ok, value)``
+    reply per task to stdout, ``value`` being the trial's errors or the
+    exception it raised."""
+    signal.signal(signal.SIGINT, signal.SIG_DFL)  # Ctrl-C ends the worker quietly
+    tasks = sys.stdin.buffer
+    replies = os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)  # a stray print goes to stderr, not into the replies
+    while True:
+        try:
+            cfg, name, n, trial_seed = pickle.load(tasks)
+        except EOFError:
+            return
+        try:
+            truth = make(name, cfg.k)
+            reply = (True, _trial_errors(cfg, truth, _error_of(cfg, name, truth), n, trial_seed))
+        except Exception as exc:  # the parent raises it
+            reply = (False, exc)
+        pickle.dump(reply, replies)
+        replies.flush()
+
+
+class _Workers:
+    """Worker interpreters, each running :func:`_serve` on the copy of
+    pmllab that this process imported. They are started when a cell first
+    needs them and live until the interpreter exits.
+
+    Not ``multiprocessing``: its spawn and forkserver methods start a
+    resource tracker process that can outlive the caller, and re-import the
+    caller's ``__main__``; fork warns, and may deadlock, in a process with
+    threads, and NumPy starts its BLAS threads at import.
+    """
+
+    def __init__(self):
+        self.procs: list[subprocess.Popen] = []
+        self.lock = threading.Lock()
+
+    def _grow(self, size: int) -> None:
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        while len(self.procs) < size:
+            self.procs.append(subprocess.Popen(
+                [sys.executable, "-c", "from pmllab.bench import _serve; _serve()"],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env))
+
+    def run(self, tasks: list) -> list:
+        """The replies to ``tasks`` in task order, from min(CPUs, len(tasks))
+        workers.
+
+        Worker i mod W runs task i, with at most two tasks waiting at each,
+        so no pipe fills. A task that raised is raised here once the replies
+        already asked for are read, so none is left for the next call. A
+        worker that dies raises RuntimeError, and every worker is stopped.
+        """
+        size = min(_cpus(), len(tasks))
+        with self.lock:
+            self._grow(size)
+            procs = self.procs[:size]
+            try:
+                replies, failed = self._exchange(procs, tasks)
+            except (EOFError, OSError, pickle.UnpicklingError) as exc:
+                codes = [p.poll() for p in procs]
+                self.close(kill=True)
+                raise RuntimeError(f"a trial worker exited (exit codes {codes})") from exc
+            except BaseException:  # an interrupt leaves replies unread
+                self.close(kill=True)
+                raise
+        if failed is not None:
+            raise failed
+        return replies
+
+    @staticmethod
+    def _exchange(procs: list[subprocess.Popen], tasks: list):
+        """The replies to ``tasks``, and the first exception among them."""
+        def send(i):
+            stdin = procs[i % len(procs)].stdin
+            pickle.dump(tasks[i], stdin)
+            stdin.flush()
+
+        sent = min(len(tasks), 2 * len(procs))
+        for i in range(sent):
+            send(i)
+        replies, failed = [], None
+        while len(replies) < sent:
+            ok, value = pickle.load(procs[len(replies) % len(procs)].stdout)
+            replies.append(value)
+            if not ok and failed is None:
+                failed = value
+            if failed is None and sent < len(tasks):
+                send(sent)  # to the worker that just replied
+                sent += 1
+        return replies, failed
+
+    def close(self, kill: bool = False) -> None:
+        """Stop every worker: end its input and wait, or kill it."""
+        for proc in self.procs:
+            if kill:
+                proc.kill()
+            with contextlib.suppress(BrokenPipeError):  # a dead worker's unread task
+                proc.stdin.close()
+            proc.wait()
+            proc.stdout.close()
+        self.procs = []
+
+
+_WORKERS = _Workers()
+
+
+def _close_workers() -> None:
+    _WORKERS.close()
+
+
+def _forget_workers() -> None:  # a forked child must not share its parent's workers
+    global _WORKERS
+    _WORKERS = _Workers()
+
+
+atexit.register(_close_workers)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _pool(trials: int) -> _Workers | None:
+    """The workers for a cell of ``trials`` trials, or None where the trials
+    run in this process: one trial, or one CPU."""
+    return _WORKERS if min(_cpus(), trials) > 1 else None
+
+
 def _mean_std(errors: list[float]) -> tuple[float, float]:
     mean = math.fsum(errors) / len(errors)
     if len(errors) < 2:
@@ -312,10 +460,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                 for est in cfg.estimators:
                     rows.append(ResultRow(dist_name, n, est, math.nan, math.nan, 0))
                 continue
-            per_trial = [
-                _trial_errors(cfg, truth, errors[dist_name], n, cfg.seed.derive(d_ix, n_ix, t))
-                for t in range(cfg.trials)
-            ]
+            seeds = [cfg.seed.derive(d_ix, n_ix, t) for t in range(cfg.trials)]
+            workers = _pool(cfg.trials)
+            if workers is None:
+                per_trial = [_trial_errors(cfg, truth, errors[dist_name], n, s) for s in seeds]
+            else:
+                per_trial = workers.run([(cfg, dist_name, n, s) for s in seeds])
             for est in cfg.estimators:
                 mean, std = _mean_std([errs[est] for errs in per_trial])
                 rows.append(ResultRow(dist_name, n, est, mean, std, cfg.trials))

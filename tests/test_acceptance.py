@@ -2,7 +2,9 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the lines as they
 complete. The whole suite is Monte Carlo at fixed seeds, so reruns are
-deterministic. Expect 20 to 25 seconds end to end (2 vCPUs).
+deterministic. Expect 12 to 14 seconds end to end on 2 vCPUs, where the
+bench grids of criteria 7-9 run their trials in two worker processes (17 to
+20 seconds with every trial in one process).
 """
 
 import itertools

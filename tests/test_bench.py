@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from pmllab import (
     Distribution, EmConfig, RngSeed, Sample, approximate_pml, draw_sample, make, t_pml_test,
 )
+from pmllab import bench
 from pmllab.bench import (
     ExperimentConfig,
     parse_config,
@@ -249,6 +253,7 @@ class TestRunExperiment:
             return t_pml_test(sample, k, epsilon, pml)
 
         monkeypatch.setattr("pmllab.bench.t_pml_test", recording)
+        monkeypatch.setattr("pmllab.bench._pool", lambda trials: None)  # patches miss workers
         cfg = self._small_cfg(task="uniformity", distributions=("uniform", "two_step"),
                               estimators=("pml",), epsilon=0.6, k=20, n_grid=(200,))
         run_experiment(cfg)
@@ -264,6 +269,7 @@ class TestRunExperiment:
     def test_unbuildable_family_fails_before_any_trial(self, monkeypatch):
         ran = []
         monkeypatch.setattr("pmllab.bench._trial_errors", lambda *args: ran.append(args))
+        monkeypatch.setattr("pmllab.bench._pool", lambda trials: None)
         with pytest.raises(ValueError):
             run_experiment(self._small_cfg(distributions=("uniform", "three_step"), k=10))
         assert not ran
@@ -271,6 +277,7 @@ class TestRunExperiment:
     def test_non_finite_renyi_order_fails_before_any_trial(self, monkeypatch):
         ran = []
         monkeypatch.setattr("pmllab.bench._trial_errors", lambda *args: ran.append(args))
+        monkeypatch.setattr("pmllab.bench._pool", lambda trials: None)
         with pytest.raises(ValueError, match="finite"):
             run_experiment(self._small_cfg(task="renyi", alpha=math.nan))
         assert not ran
@@ -278,6 +285,7 @@ class TestRunExperiment:
     def test_uniformity_family_inside_epsilon_fails_before_any_trial(self, monkeypatch):
         ran = []
         monkeypatch.setattr("pmllab.bench._trial_errors", lambda *args: ran.append(args))
+        monkeypatch.setattr("pmllab.bench._pool", lambda trials: None)
         cfg = self._small_cfg(task="uniformity", distributions=("uniform", "two_step"),
                               estimators=("pml",), epsilon=0.9, k=20, n_grid=(200,))
         with pytest.raises(ValueError, match="two_step"):
@@ -309,6 +317,104 @@ class TestRunExperiment:
         )
         (row,) = run_experiment(cfg)
         assert row.mean_error <= 0.01
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """The trial workers, two of them even where this machine has one CPU."""
+    monkeypatch.setattr("pmllab.bench._cpus", lambda: 2)
+    return bench._pool(2)
+
+
+def _in_process(cfg, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr("pmllab.bench._pool", lambda trials: None)
+        return run_experiment(cfg)
+
+
+class TestTrialWorkers:
+    _small_cfg = TestRunExperiment._small_cfg
+
+    @pytest.mark.parametrize("task, estimators, extra", [
+        ("l1", ("pml", "empirical", "empirical_nlogn"), {}),
+        ("sorted_l1", ("tpml",), {}),
+        ("uniformity", ("pml",), dict(distributions=("uniform", "two_step"), epsilon=0.6, k=20)),
+        ("entropy", ("pml", "empirical_nlogn"), {}),
+    ])
+    def test_pooled_rows_are_the_in_process_rows(self, workers, monkeypatch, task, estimators,
+                                                 extra):
+        # three trials on two workers: one worker runs two of the cell's trials
+        cfg = self._small_cfg(task=task, estimators=estimators, n_grid=(60,), trials=3, **extra)
+        pooled = run_experiment(cfg)
+        assert len(workers.procs) == 2
+        assert all(p.poll() is None for p in workers.procs)
+        assert [tuple(map(repr, r)) for r in pooled] == [
+            tuple(map(repr, r)) for r in _in_process(cfg, monkeypatch)]
+
+    def test_replies_come_in_task_order(self, workers):
+        # five tasks on two workers: more than the two that wait at each
+        cfg = self._small_cfg(n_grid=(60,))
+        tasks = [(cfg, name, n, RngSeed(t)) for t, (name, n) in enumerate(
+            [("uniform", 60), ("zipf", 200), ("uniform", 30), ("zipf", 60), ("uniform", 90)])]
+        want = []
+        for _, name, n, seed in tasks:
+            truth = make(name, cfg.k)
+            want.append(bench._trial_errors(cfg, truth, bench._error_of(cfg, name, truth), n, seed))
+        assert workers.run(tasks) == want
+
+    def test_worker_count_is_the_cpu_count(self):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert bench.worker_count() == cpus
+
+    def test_trial_error_is_raised_and_leaves_no_reply_behind(self, workers, monkeypatch):
+        cfg = self._small_cfg(n_grid=(60,))
+        seed = RngSeed(5)
+        # the unknown family raises in make, inside the worker
+        with pytest.raises(ValueError, match="unknown distribution family 'nope'"):
+            workers.run([(cfg, "uniform", 60, seed), (cfg, "nope", 60, seed),
+                         (cfg, "uniform", 60, seed), (cfg, "zipf", 60, seed)])
+        procs = list(workers.procs)
+        assert run_experiment(cfg) == _in_process(cfg, monkeypatch)
+        assert workers.procs == procs  # a trial's error keeps the workers
+
+    def test_dead_worker_is_a_runtime_error_and_the_pool_restarts(self, workers, monkeypatch):
+        cfg = self._small_cfg(n_grid=(60,))
+        run_experiment(cfg)
+        dead = workers.procs[0]
+        dead.kill()
+        dead.wait()
+        with pytest.raises(RuntimeError, match="trial worker exited"):
+            run_experiment(cfg)
+        assert workers.procs == []
+        assert run_experiment(cfg) == _in_process(cfg, monkeypatch)
+        assert dead not in workers.procs
+
+    def test_exit_hook_ends_every_worker(self, workers):
+        run_experiment(self._small_cfg(n_grid=(60,)))
+        procs = list(workers.procs)
+        assert len(procs) == 2
+        bench._close_workers()
+        assert [p.returncode for p in procs] == [0, 0]
+        assert workers.procs == []
+
+    def test_interpreter_exit_leaves_no_worker_running(self):
+        script = (
+            "from pmllab import bench, RngSeed\n"
+            "bench._cpus = lambda: 2\n"
+            "bench.run_experiment(bench.ExperimentConfig(task='entropy', distributions=('uniform',),"
+            " k=12, n_grid=(60,), trials=2, seed=RngSeed(1), em_iterations=3, mcmc_sweeps=3))\n"
+            "print(*(p.pid for p in bench._WORKERS.procs))\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(bench.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=120, check=True).stdout
+        pids = [int(tok) for tok in out.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class TestReports:
