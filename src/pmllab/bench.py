@@ -4,7 +4,8 @@ All randomness flows from the configured seed through per-cell, per-trial
 derived seeds, so reruns are bit-identical. A cell's trials run in worker
 processes, one per CPU up to the trial count, when there are at least two
 of each; a trial's errors depend on its seed alone, so the rows are the
-same bits as when the trials run one at a time in this process.
+same bits as when the trials run one at a time in this process, and a
+worker runs each trial under this process's warning filters.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -290,40 +292,82 @@ def _trial_errors(cfg: ExperimentConfig, truth: Distribution, error, n: int,
             for est in cfg.estimators}
 
 
-def _cpus() -> int:
+def worker_count() -> int:
+    """The number of worker processes that run the trials of a cell with at
+    least that many trials: the CPUs this process may run on. 1 means that
+    trials run in this process."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
 
 
-def worker_count() -> int:
-    """The number of worker processes that run the trials of a cell with at
-    least that many trials; 1 means that trials run in this process."""
-    return _cpus()
+def _trial(cfg: ExperimentConfig, name: str, n: int, trial_seed: RngSeed) -> dict[str, float]:
+    """One trial's errors on the family ``name``: what a worker runs."""
+    truth = make(name, cfg.k)
+    return _trial_errors(cfg, truth, _error_of(cfg, name, truth), n, trial_seed)
+
+
+def _pickled_filters() -> tuple[bytes, ...]:
+    """This process's warning filters, each pickled on its own. A filter
+    whose category does not pickle here, or cannot be imported in a worker,
+    is left out: no code that a worker runs can raise such a warning."""
+    blobs = []
+    for item in warnings.filters:
+        with contextlib.suppress(Exception):
+            blobs.append(pickle.dumps(item))
+    return tuple(blobs)
+
+
+def _set_filters(blobs: tuple[bytes, ...]) -> None:
+    """Make the filters of :func:`_pickled_filters` this process's own."""
+    def pattern(regex) -> str:  # a filter holds None, a str or a compiled pattern
+        return getattr(regex, "pattern", regex) or ""
+
+    warnings.resetwarnings()
+    for blob in blobs:
+        try:
+            action, message, category, module, lineno = pickle.loads(blob)
+        except Exception:  # see _pickled_filters
+            continue
+        warnings.filterwarnings(action, pattern(message), category, pattern(module), lineno,
+                                append=True)
 
 
 def _serve() -> None:
-    """Loop of a trial worker: read pickled ``(cfg, family, n, trial_seed)``
-    tasks from stdin until it closes, and write one pickled ``(ok, value)``
-    reply per task to stdout, ``value`` being the trial's errors or the
-    exception it raised."""
+    """Loop of a worker: read pickled ``(filters, fn, args)`` calls from
+    stdin until it closes, and write one pickled ``(ok, value)`` reply per
+    call to stdout, ``value`` being what ``fn(*args)`` returned or the
+    exception it raised. ``fn`` runs under the caller's warning filters,
+    so a warning that the caller turns into an error fails the call."""
     signal.signal(signal.SIGINT, signal.SIG_DFL)  # Ctrl-C ends the worker quietly
-    tasks = sys.stdin.buffer
+    calls = sys.stdin.buffer
     replies = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)  # a stray print goes to stderr, not into the replies
+    applied = None
     while True:
         try:
-            cfg, name, n, trial_seed = pickle.load(tasks)
+            filters, fn, args = pickle.load(calls)
         except EOFError:
             return
         try:
-            truth = make(name, cfg.k)
-            reply = (True, _trial_errors(cfg, truth, _error_of(cfg, name, truth), n, trial_seed))
-        except Exception as exc:  # the parent raises it
+            if filters != applied:
+                _set_filters(filters)
+                applied = filters
+            reply = (True, fn(*args))
+        except Exception as exc:  # the caller raises it
             reply = (False, exc)
         pickle.dump(reply, replies)
         replies.flush()
+
+
+def _worker_env() -> dict[str, str]:
+    """This process's environment, with the directory that holds this copy
+    of pmllab first on PYTHONPATH, so that a child imports the same copy."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 class _Workers:
@@ -342,29 +386,31 @@ class _Workers:
         self.lock = threading.Lock()
 
     def _grow(self, size: int) -> None:
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        # the -W options also cover what a worker does before its first call
+        argv = [sys.executable, *(f"-W{opt}" for opt in sys.warnoptions),
+                "-c", "from pmllab.bench import _serve; _serve()"]
         while len(self.procs) < size:
             self.procs.append(subprocess.Popen(
-                [sys.executable, "-c", "from pmllab.bench import _serve; _serve()"],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env))
+                argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=_worker_env()))
 
-    def run(self, tasks: list) -> list:
-        """The replies to ``tasks`` in task order, from min(CPUs, len(tasks))
-        workers.
+    def run(self, calls: list) -> list:
+        """The value of ``fn(*args)`` for each ``(fn, args)`` of ``calls``, in
+        order, from min(worker_count(), len(calls)) workers. ``fn`` must
+        pickle by reference, and runs under this process's warning filters.
 
-        Worker i mod W runs task i, with at most two tasks waiting at each,
-        so no pipe fills. A task that raised is raised here once the replies
-        already asked for are read, so none is left for the next call. A
+        Worker i mod W makes call i, with at most two calls waiting at each,
+        so no pipe fills. A call that raised is raised here once the replies
+        already asked for are read, so none is left for the next run. A
         worker that dies raises RuntimeError, and every worker is stopped.
         """
-        size = min(_cpus(), len(tasks))
+        size = min(worker_count(), len(calls))
+        filters = _pickled_filters()
         with self.lock:
             self._grow(size)
             procs = self.procs[:size]
             try:
-                replies, failed = self._exchange(procs, tasks)
+                replies, failed = self._exchange(
+                    procs, [(filters, fn, args) for fn, args in calls])
             except (EOFError, OSError, pickle.UnpicklingError) as exc:
                 codes = [p.poll() for p in procs]
                 self.close(kill=True)
@@ -377,14 +423,14 @@ class _Workers:
         return replies
 
     @staticmethod
-    def _exchange(procs: list[subprocess.Popen], tasks: list):
-        """The replies to ``tasks``, and the first exception among them."""
+    def _exchange(procs: list[subprocess.Popen], calls: list):
+        """The replies to ``calls``, and the first exception among them."""
         def send(i):
             stdin = procs[i % len(procs)].stdin
-            pickle.dump(tasks[i], stdin)
+            pickle.dump(calls[i], stdin)
             stdin.flush()
 
-        sent = min(len(tasks), 2 * len(procs))
+        sent = min(len(calls), 2 * len(procs))
         for i in range(sent):
             send(i)
         replies, failed = [], None
@@ -393,7 +439,7 @@ class _Workers:
             replies.append(value)
             if not ok and failed is None:
                 failed = value
-            if failed is None and sent < len(tasks):
+            if failed is None and sent < len(calls):
                 send(sent)  # to the worker that just replied
                 sent += 1
         return replies, failed
@@ -403,7 +449,7 @@ class _Workers:
         for proc in self.procs:
             if kill:
                 proc.kill()
-            with contextlib.suppress(BrokenPipeError):  # a dead worker's unread task
+            with contextlib.suppress(BrokenPipeError):  # a dead worker's unread call
                 proc.stdin.close()
             proc.wait()
             proc.stdout.close()
@@ -430,7 +476,7 @@ if hasattr(os, "register_at_fork"):
 def _pool(trials: int) -> _Workers | None:
     """The workers for a cell of ``trials`` trials, or None where the trials
     run in this process: one trial, or one CPU."""
-    return _WORKERS if min(_cpus(), trials) > 1 else None
+    return _WORKERS if min(worker_count(), trials) > 1 else None
 
 
 def _mean_std(errors: list[float]) -> tuple[float, float]:
@@ -465,7 +511,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
             if workers is None:
                 per_trial = [_trial_errors(cfg, truth, errors[dist_name], n, s) for s in seeds]
             else:
-                per_trial = workers.run([(cfg, dist_name, n, s) for s in seeds])
+                per_trial = workers.run([(_trial, (cfg, dist_name, n, s)) for s in seeds])
             for est in cfg.estimators:
                 mean, std = _mean_std([errs[est] for errs in per_trial])
                 rows.append(ResultRow(dist_name, n, est, mean, std, cfg.trials))

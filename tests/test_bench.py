@@ -1,7 +1,9 @@
 import math
 import os
+import pickle
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -322,7 +324,7 @@ class TestRunExperiment:
 @pytest.fixture
 def workers(monkeypatch):
     """The trial workers, two of them even where this machine has one CPU."""
-    monkeypatch.setattr("pmllab.bench._cpus", lambda: 2)
+    monkeypatch.setattr("pmllab.bench.worker_count", lambda: 2)
     return bench._pool(2)
 
 
@@ -360,19 +362,68 @@ class TestTrialWorkers:
         for _, name, n, seed in tasks:
             truth = make(name, cfg.k)
             want.append(bench._trial_errors(cfg, truth, bench._error_of(cfg, name, truth), n, seed))
-        assert workers.run(tasks) == want
+        assert workers.run([(bench._trial, task) for task in tasks]) == want
 
-    def test_worker_count_is_the_cpu_count(self):
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        assert bench.worker_count() == cpus
+    def test_worker_count_is_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert bench.worker_count() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert bench.worker_count() == 4
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert bench.worker_count() == 1
+
+    def test_a_warning_the_caller_makes_an_error_fails_the_trial(self, workers, monkeypatch):
+        # as under pytest's filterwarnings: a NumPy overflow that fails a
+        # trial in this process must fail it in a worker too
+        warn = (warnings.warn, ("overflow in a trial", RuntimeWarning))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="overflow in a trial"):
+                workers.run([warn] * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert workers.run([warn] * 3) == [None] * 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            with pytest.raises(UserWarning, match="in a worker"):
+                workers.run([(warnings.warn, ("in a worker",))] * 2)
+
+        class LocalWarning(UserWarning):  # a category no worker can import
+            pass
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LocalWarning)
+            cfg = self._small_cfg(n_grid=(60,))
+            assert run_experiment(cfg) == _in_process(cfg, monkeypatch)
+
+    def test_a_worker_leaves_out_a_filter_it_cannot_load(self):
+        error = ("error", None, RuntimeWarning, None, 0)
+        with warnings.catch_warnings():
+            bench._set_filters((b"not a pickle", pickle.dumps(error)))
+            assert warnings.filters == [error]
+
+    def test_a_worker_takes_the_callers_filters(self):
+        def plain(filters):  # the interpreter's own defaults hold module names as str
+            return [(action, getattr(msg, "pattern", msg), cat, getattr(mod, "pattern", mod), n)
+                    for action, msg, cat, mod, n in filters]
+
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", "over.*flow", RuntimeWarning, r"pmllab\.", 7)
+            warnings.simplefilter("ignore", UserWarning)
+            want = plain(warnings.filters)
+            blobs = bench._pickled_filters()
+        with warnings.catch_warnings():
+            bench._set_filters(blobs)
+            assert plain(warnings.filters) == want
 
     def test_trial_error_is_raised_and_leaves_no_reply_behind(self, workers, monkeypatch):
         cfg = self._small_cfg(n_grid=(60,))
         seed = RngSeed(5)
         # the unknown family raises in make, inside the worker
         with pytest.raises(ValueError, match="unknown distribution family 'nope'"):
-            workers.run([(cfg, "uniform", 60, seed), (cfg, "nope", 60, seed),
-                         (cfg, "uniform", 60, seed), (cfg, "zipf", 60, seed)])
+            workers.run([(bench._trial, (cfg, name, 60, seed))
+                         for name in ("uniform", "nope", "uniform", "zipf")])
         procs = list(workers.procs)
         assert run_experiment(cfg) == _in_process(cfg, monkeypatch)
         assert workers.procs == procs  # a trial's error keeps the workers
@@ -400,16 +451,13 @@ class TestTrialWorkers:
     def test_interpreter_exit_leaves_no_worker_running(self):
         script = (
             "from pmllab import bench, RngSeed\n"
-            "bench._cpus = lambda: 2\n"
+            "bench.worker_count = lambda: 2\n"
             "bench.run_experiment(bench.ExperimentConfig(task='entropy', distributions=('uniform',),"
             " k=12, n_grid=(60,), trials=2, seed=RngSeed(1), em_iterations=3, mcmc_sweeps=3))\n"
             "print(*(p.pid for p in bench._WORKERS.procs))\n"
         )
-        env = dict(os.environ)
-        src = str(Path(bench.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                             env=env, timeout=120, check=True).stdout
+                             env=bench._worker_env(), timeout=120, check=True).stdout
         pids = [int(tok) for tok in out.split()]
         assert len(pids) == 2
         for pid in pids:
