@@ -33,7 +33,8 @@ def _build_parser() -> _Parser:
     # the EM flags of pml, estimate and test-uniformity, with EmConfig's defaults
     em = argparse.ArgumentParser(add_help=False)
     em.add_argument("--em-iters", type=int, default=EmConfig.em_iterations)
-    em.add_argument("--sweeps", type=int, default=EmConfig.mcmc_sweeps_per_estep)
+    em.add_argument("--sweeps", type=int, default=EmConfig.mcmc_sweeps_per_estep,
+                    help="sampled sweeps per E-step, split among its chains")
     em.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("sample", help="draw a sample from a benchmark distribution")

@@ -16,15 +16,19 @@ K + 1 rows per start: each support point left out, then none) and
 Metropolis-sampled at scale. The exact path runs two starts, and they
 advance together: one pass of the program per EM iteration covers both.
 Symbols of equal multiplicity are exchangeable, so the sampled E-step runs
-its chain on the multiplicity each support point holds: one block of
+its chains on the multiplicity each support point holds: one block of
 pairwise content exchanges per sweep covers both symbol swaps and moves to
-empty points. Its randomness is drawn once per E-step: one random slot
-order fixes which points meet, and one offset per sweep rotates the
-pairing. That randomness comes from an SFC64 generator under the EM seed,
-not from the Philox streams of sampling: one serial chain needs no
-counter-based streams, and SFC64 draws its uniforms about three times as
-fast. The M-step reweights each support point by its expected assigned
-multiplicity mass.
+empty points. Below about 2,000 points it advances up to eight chains as
+one array, splitting the E-step's sweep budget among them, because there
+NumPy's per-call overhead, not the arithmetic, sets the cost of a sweep.
+Its randomness is drawn once per E-step: one random slot order, shared by
+the chains, fixes which points meet, one offset per sweep rotates the
+pairing, and each chain gets its own acceptance uniforms. That randomness
+comes from an SFC64 generator under the EM seed, not from the Philox
+streams of sampling: the chains advance in one serial computation that
+needs no counter-based streams, and SFC64 draws its uniforms about three
+times as fast. The M-step reweights each support point by its expected
+assigned multiplicity mass.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ class EmConfig:
     """Knobs for the EM solver and the surrounding pipeline."""
 
     em_iterations: int = 30
+    #: the sampled E-step's budget of sampled sweeps, split among its chains
     mcmc_sweeps_per_estep: int = 60
     seed: RngSeed = field(default_factory=RngSeed)
 
@@ -212,56 +217,69 @@ def _mcmc_estep_mass(
     q: np.ndarray, y: np.ndarray, sweeps: int, gen: np.random.Generator, burn: int
 ) -> np.ndarray:
     """Expected multiplicity mass per support point, by Metropolis sampling
-    of the latent assignment.
+    of the latent assignment with C chains at once.
 
-    Symbols of equal multiplicity are exchangeable, so the chain runs on
-    slot contents: ``y[s]`` is the multiplicity held by support point s, 0
-    if the point is empty. The target is proportional to prod_s q_s^y_s,
-    the image of the law prod_j q_sigma(j)^mult_j of the assignment sigma.
-    A move exchanges the contents of two points a and b and is accepted
-    when log u < (y_a - y_b) * (lq_b - lq_a). That one rule covers a swap of
-    two symbols and a relocation of a symbol to an empty point, so each
-    sweep is a single block of disjoint pairs, chosen independently of the
-    state: every acceptance ratio is exact and the block vectorizes. One
-    block per sweep, over all K points, is what keeps a sweep cheap; it
-    proposes about m(K - m)/K moves to empty points per sweep.
+    Symbols of equal multiplicity are exchangeable, so each chain runs on
+    slot contents: ``y[s, c]`` is the multiplicity that support point s
+    holds in chain c, 0 if the point is empty. The target is proportional to
+    prod_s q_s^y_s, the image of the law prod_j q_sigma(j)^mult_j of the
+    assignment sigma. A move exchanges the contents of two points a and b
+    and is accepted when log u < (y_a - y_b) * (lq_b - lq_a). That one rule
+    covers a swap of two symbols and a relocation of a symbol to an empty
+    point, so each sweep is a single block of disjoint pairs, chosen
+    independently of the state: every acceptance ratio is exact and the
+    block vectorizes. One block per sweep, over all K points, is what keeps
+    a sweep cheap; it proposes about m(K - m)/K moves to empty points per
+    sweep.
 
-    The pairing is drawn once per E-step. One random slot order splits the
-    points into halves A and B; sweep t pairs A[i] with B[(i + r_t) mod |B|].
-    The offsets and all acceptance uniforms come from one draw each of
-    ``gen`` (SFC64 on the EM path). No point sits out a whole E-step (with
-    odd K, one B point rests per sweep), and over the sweeps every A x B
-    pair can be proposed; those transpositions reach every arrangement of
-    the contents. Each sweep writes its differences, gains and acceptance
-    mask into three arrays of length K // 2 made once per call.
+    The pairing is drawn once per E-step and shared by the chains. One
+    random slot order splits the points into halves A and B; sweep t pairs
+    A[i] with B[(i + r_t) mod |B|]. The offsets and all acceptance uniforms
+    come from one draw each of ``gen`` (SFC64 on the EM path); each chain
+    gets its own uniforms. No point sits out a whole E-step (with odd K, one
+    B point rests per sweep), and over the sweeps every A x B pair can be
+    proposed; those transpositions reach every arrangement of the contents.
 
-    ``y`` is the chain state and is advanced in place, so the chain
-    persists across E-steps. The mass sums integer-valued contents, so it
-    is exact up to the final division by ``sweeps``.
+    The ``sweeps`` budget is split among the chains: each runs ``burn``
+    unsampled sweeps, then ceil(sweeps / C) sampled ones. The chain axis is
+    last, so a sweep's C * (K // 2) pairs are one contiguous run of every
+    ufunc, and the per-point log q values are repeated C times to match
+    (broadcasting them instead would make every inner loop only C entries
+    long). With C = 1 this is the plain serial chain: the same draws, the
+    same arithmetic, the same bits. Each sweep writes its differences, gains
+    and acceptance mask into three arrays made once per call.
+
+    ``y`` is the (K, C) chain state and is advanced in place, so the chains
+    persist across E-steps. The mass, the mean over chains and sampled
+    sweeps, sums integer-valued contents, so it is exact up to the final
+    division.
     """
-    K = int(y.size)
-    steps = sweeps + burn
+    K, C = y.shape
+    sampled = -(-sweeps // C)
+    steps = sampled + burn
     order = gen.permutation(K)
     half = K // 2
     nb = K - half
     # The state in slot-order coordinates, with B listed twice so that each
-    # sweep's partners are one slice: point order[i] holds w[i], and B's
-    # copy w[K:] mirrors w[half:K] between sweeps.
-    w = y[np.concatenate((order, order[half:]))]
-    lw = np.log(np.maximum(q[order], _LOG_FLOOR))
-    la = lw[:half]
-    lb_twice = np.tile(lw[half:], 2)
+    # sweep's partners are one slice: point order[i] holds the C entries
+    # from w[i * C], and B's copy w[K * C:] mirrors w[half * C:K * C]
+    # between sweeps. Offsets below are in entries, points times C.
+    w = y.take(np.concatenate((order, order[half:])), axis=0).ravel()
+    hc, bc, kc = half * C, nb * C, K * C
+    lw = np.log(np.maximum(q[order], _LOG_FLOOR)).repeat(C)
+    la = lw[:hc]
+    lb_twice = np.tile(lw[hc:], 2)
     at = gen.integers(nb, size=steps)
-    logu = gen.random((steps, half))
+    logu = gen.random((steps, hc))
     np.log(logu, out=logu)  # in place: this is the E-step's largest array
-    za = w[:half]
-    acc = np.zeros(K)
-    step = np.empty(half)
-    gain = np.empty(half)
-    ok = np.empty(half, dtype=bool)
-    for t, r in enumerate(at.tolist()):
-        e = r + half
-        zb = w[half + r : half + e]
+    za = w[:hc]
+    acc = np.zeros(kc)
+    step = np.empty(hc)
+    gain = np.empty(hc)
+    ok = np.empty(hc, dtype=bool)
+    for t, r in enumerate((at * C).tolist()):
+        e = r + hc
+        zb = w[hc + r : hc + e]
         # Accepted exchanges are applied as a blend without branches, which
         # beats np.where on random masks.
         np.subtract(zb, za, out=step)
@@ -271,15 +289,15 @@ def _mcmc_estep_mass(
         step *= ok
         za += step
         zb -= step
-        wrap = e - nb
+        wrap = e - bc
         if wrap > 0:  # the window ran into the copy; write that part back to B
-            w[half : half + wrap] = w[K : K + wrap]
-        w[K:] = w[half:K]
+            w[hc : hc + wrap] = w[kc : kc + wrap]
+        w[kc:] = w[hc:kc]
         if t >= burn:
-            acc += w[:K]
-    y[order] = w[:K]
+            acc += w[:kc]
+    y[order] = w[:kc].reshape(K, C)
     mass = np.empty(K)
-    mass[order] = acc / sweeps
+    mass[order] = acc.reshape(K, C).sum(axis=1) / (C * sampled)
     return mass
 
 
@@ -288,6 +306,15 @@ def _mcmc_estep_mass(
 #: estimate, so sorting loses nothing, and averaging quantile functions
 #: strips Monte Carlo jitter without blurring the converged shape.
 _AVG_WINDOW = 20
+
+#: The sampled E-step adds chains while their state holds at most
+#: _BATCH_ENTRIES entries (C * K), up to _MAX_CHAINS; past that a sweep's
+#: cost is its arithmetic, not NumPy's per-call overhead. With more than one
+#: chain, every E-step after the first starts with _REBURN unsampled sweeps
+#: per chain.
+_MAX_CHAINS = 8
+_BATCH_ENTRIES = 4096
+_REBURN = 4
 
 
 def _scores(q, profile: Profile) -> list[float]:
@@ -316,29 +343,43 @@ def _em_exact(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig):
         yield q[best]
 
 
+def _chain_count(K: int, sweeps: int) -> int:
+    """How many Metropolis chains the sampled E-step advances at once over K
+    points. Batching pays only where NumPy's per-call overhead dominates a
+    sweep, so the count shrinks as K grows and is 1 from K = 2,049 on; it
+    never exceeds the sweep budget, which the chains split."""
+    return min(_MAX_CHAINS, sweeps, max(1, _BATCH_ENTRIES // K))
+
+
 def _em_sampled(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig):
     """EM with the sampled E-step from the tilted uniform start. Yields the
     iterate before each E-step, then the average of the sorted final ones."""
     q = _tilted_uniform(K)
-    # One serial chain gains nothing from Philox's counter-based streams and
-    # pays about three times per word for them; SFC64 under the same seed
-    # draws the E-step's uniforms, sampling stays on Philox.
+    # The chains of one E-step are a single serial computation, which gains
+    # nothing from Philox's counter-based streams and pays about three times
+    # per word for them; SFC64 under the same seed draws the E-step's
+    # uniforms, sampling stays on Philox.
     gen = np.random.Generator(np.random.SFC64(cfg.seed.seed))
     # The pseudo-count keeps support points that the sampled E-step missed
     # alive; the exact E-step gives every point positive mass already, and
     # any smoothing there would break likelihood monotonicity.
     kappa = 1.0 / (K * profile.n)
-    # the chain state: the multiplicity each support point holds, starting
-    # from the greedy matching (mults and the tilted uniform start are both
-    # descending)
-    y = np.zeros(K)
-    y[: mults.size] = mults
+    # the chain states: the multiplicity each support point holds in each
+    # chain, every chain starting from the greedy matching (mults and the
+    # tilted uniform start are both descending)
+    sweeps = cfg.mcmc_sweeps_per_estep
+    chains = _chain_count(K, sweeps)
+    y = np.zeros((K, chains))
+    y[: mults.size] = mults[:, None]
+    # A short chain spends most of its sweeps near where the previous
+    # iterate left it, so with several chains every E-step burns in first.
+    reburn = _REBURN if chains > 1 else 0
     window = min(_AVG_WINDOW, cfg.em_iterations)
     averaged = np.zeros(K)
     for it in range(cfg.em_iterations):
         yield q
-        burn = max(1, cfg.mcmc_sweeps_per_estep // 4) if it == 0 else 0
-        mass = _mcmc_estep_mass(q, y, cfg.mcmc_sweeps_per_estep, gen, burn)
+        burn = max(1, sweeps // 4) if it == 0 else reburn
+        mass = _mcmc_estep_mass(q, y, sweeps, gen, burn)
         q = mass + kappa
         q = q / q.sum()
         if it >= cfg.em_iterations - window:
@@ -370,9 +411,11 @@ def em_pml(profile: Profile, K: int, cfg: EmConfig | None = None) -> Distributio
     With the exact E-step the profile probability is non-decreasing across
     iterations; with the sampled E-step it is non-decreasing in expectation
     and can be monitored via :func:`em_pml_trace`. The sampled path keeps
-    one Metropolis chain alive across E-steps and returns the mean of the
-    sorted final iterates, which strips most of the Monte Carlo jitter from
-    the returned multiset. Only the last iterate is kept.
+    its Metropolis chains alive across E-steps, one chain from K = 2,049
+    on and up to eight below, which split ``cfg.mcmc_sweeps_per_estep``
+    sampled sweeps among them. It returns the mean of the sorted final
+    iterates, which strips most of the Monte Carlo jitter from the returned
+    multiset. Only the last iterate is kept.
     """
     return Distribution(deque(_em_run(profile, K, cfg or EmConfig()), maxlen=1).pop())
 

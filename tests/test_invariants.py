@@ -16,6 +16,7 @@ from pmllab import (
     Sample,
     approximate_pml,
     em_pml_trace,
+    estimate_support,
     profile_of,
     remd_truncated,
     sorted_l1,
@@ -24,6 +25,7 @@ from pmllab import (
 )
 from pmllab.bench import read_profile_file, read_sample_file, write_profile_file, write_sample_file
 from pmllab.core import PROB_TOL
+from pmllab.pml_em import _mcmc_estep_mass
 
 _examples = settings(max_examples=50, deadline=None, derandomize=True)
 
@@ -195,3 +197,47 @@ def test_pml_is_label_free_and_keeps_the_hint_length(pair, extra):
 )
 def test_tpml_is_label_free(pair, thresholds):
     _assert_valid_and_label_free(lambda s: tpml_distribution(s, thresholds, _tiny_em), pair)
+
+
+@st.composite
+def _sampled_estep(draw):
+    """A sampled E-step's inputs: m <= K <= 40 multiplicities, 1 to 8 chains
+    each holding a random placement of them, a point distribution (zeros
+    allowed), 1 to 6 sweeps and a burn-in, and the generator."""
+    K = draw(st.integers(1, 40))
+    mults = np.array(draw(st.lists(st.integers(1, 8), min_size=1, max_size=K)), dtype=float)
+    q = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=K, max_size=K).filter(lambda w: sum(w) > 0)))
+    C = draw(st.integers(1, 8))
+    gen = np.random.Generator(np.random.SFC64(draw(st.integers(0, 2**32 - 1))))
+    y = np.zeros((K, C))
+    for c in range(C):
+        y[gen.permutation(K)[: mults.size], c] = mults
+    return mults, q / q.sum(), y, draw(st.integers(1, 6)), gen, draw(st.integers(0, 2))
+
+
+@_examples
+@given(instance=_sampled_estep())
+def test_sampled_estep_mass_is_the_multiplicity_mass(instance):
+    mults, q, y, sweeps, gen, burn = instance
+    mass = _mcmc_estep_mass(q, y, sweeps, gen, burn)
+    assert mass.shape == q.shape
+    assert mass.min() >= 0.0
+    assert math.isclose(math.fsum(mass), mults.sum(), rel_tol=1e-12)
+
+
+@_examples
+@given(instance=_sampled_estep())
+def test_sampled_estep_chains_stay_matchings(instance):
+    # every chain still holds each multiplicity at one point, the rest empty
+    mults, q, y, sweeps, gen, burn = instance
+    held = np.sort(y, axis=0)
+    for _ in range(3):
+        _mcmc_estep_mass(q, y, sweeps, gen, burn)
+        assert np.array_equal(np.sort(y, axis=0), held)
+
+
+@_examples
+@given(counts=st.dictionaries(st.integers(0, 10**6), st.integers(1, 200), min_size=1, max_size=300))
+def test_support_estimate_keeps_a_point_per_seen_symbol(counts):
+    sample = Sample(counts)
+    assert estimate_support(sample) >= sample.distinct

@@ -29,6 +29,7 @@ from pmllab import (
 from pmllab.likelihood import _MAX_DP_STATES, _log_monomial_sums, profile_probability
 from pmllab.pml_em import (
     _LOG_FLOOR,
+    _chain_count,
     _em_run,
     _empirical_start,
     _exact_estep_mass,
@@ -36,6 +37,49 @@ from pmllab.pml_em import (
     _tilted_uniform,
     split_threshold,
 )
+
+
+@np.errstate(divide="ignore")
+def _reference_mcmc_estep_mass(q, y, sweeps, gen, burn):
+    """The sampled E-step as a single serial chain over a (K,) state, as a
+    reference for the batched chains at C = 1."""
+    K = int(y.size)
+    steps = sweeps + burn
+    order = gen.permutation(K)
+    half = K // 2
+    nb = K - half
+    w = y[np.concatenate((order, order[half:]))]
+    lw = np.log(np.maximum(q[order], _LOG_FLOOR))
+    la = lw[:half]
+    lb_twice = np.tile(lw[half:], 2)
+    at = gen.integers(nb, size=steps)
+    logu = gen.random((steps, half))
+    np.log(logu, out=logu)
+    za = w[:half]
+    acc = np.zeros(K)
+    step = np.empty(half)
+    gain = np.empty(half)
+    ok = np.empty(half, dtype=bool)
+    for t, r in enumerate(at.tolist()):
+        e = r + half
+        zb = w[half + r : half + e]
+        np.subtract(zb, za, out=step)
+        np.subtract(la, lb_twice[r:e], out=gain)
+        gain *= step
+        np.less(logu[t], gain, out=ok)
+        step *= ok
+        za += step
+        zb -= step
+        wrap = e - nb
+        if wrap > 0:
+            w[half : half + wrap] = w[K : K + wrap]
+        w[K:] = w[half:K]
+        if t >= burn:
+            acc += w[:K]
+    y[order] = w[:K]
+    mass = np.empty(K)
+    mass[order] = acc / sweeps
+    return mass
 
 
 class TestEmConfig:
@@ -315,38 +359,86 @@ class TestEmPml:
             assert trace == [profile_probability(dist, prof)]
 
     @staticmethod
-    def _chain(mults, K, gen):
-        y = np.zeros(K)
-        y[gen.permutation(K)[: mults.size]] = mults
+    def _chains(mults, K, C, gen):
+        """C chain states, each column a random placement of ``mults``."""
+        y = np.zeros((K, C))
+        for c in range(C):
+            y[gen.permutation(K)[: mults.size], c] = mults
         return y
 
     def test_mcmc_estep_is_exact_in_law(self):
-        # odd and even K, K = m (no empty point), few and many empty points
+        # odd and even K, K = m (no empty point), few and many empty points;
+        # one chain over one long E-step, and each of two and eight chains
+        # alone: with a budget of C sweeps every call advances each chain by
+        # one sampled sweep, so the states seen after the calls are that
+        # chain's path
         cases = ((7, 7), (6, 6), (5, 8), (6, 9), (5, 14), (4, 11), (1, 3), (2, 2))
         for i, (m, K) in enumerate(cases):
             rng = np.random.default_rng(300 + i)
             mults = np.sort(rng.integers(1, 5, m))[::-1].astype(float)
             q = rng.dirichlet(np.ones(K))
-            gen = np.random.Generator(np.random.SFC64(i))
-            got = _mcmc_estep_mass(q, self._chain(mults, K, gen), 20000, gen, 10)
             want = _exact_estep_mass(q[None], *np.unique(mults, return_counts=True))[0]
+            gen = np.random.Generator(np.random.SFC64(i))
+            got = _mcmc_estep_mass(q, self._chains(mults, K, 1, gen), 20000, gen, 10)
             assert np.abs(got - want).max() <= 0.01 * mults.sum(), (m, K)
+            for C in (2, 8):
+                gen = np.random.Generator(np.random.SFC64(50 + i))
+                y = self._chains(mults, K, C, gen)
+                path = np.zeros((K, C))
+                for _ in range(1500):
+                    mass = _mcmc_estep_mass(q, y, C, gen, 0)
+                    assert np.array_equal(mass * C, y.sum(axis=1))
+                    path += y
+                # the mean of 1,500 correlated states of one chain; a chain
+                # that read another point's log q would be off by contents
+                err = np.abs(path / 1500 - want[:, None]).max(axis=0)
+                assert err.max() <= 0.1 * mults.max(), (m, K, C, err)
 
     def test_mcmc_chain_state_stays_a_matching(self):
-        # the slot contents stay a rearrangement of the multiplicities and
-        # K - m empty points, and the mass averages whole contents
+        # each chain's slot contents stay a rearrangement of the
+        # multiplicities and K - m empty points, and the mass averages whole
+        # contents over the chains' sampled sweeps
         for i, (m, K) in enumerate(((41, 41), (40, 55), (41, 90), (1, 3), (2, 2))):
-            rng = np.random.default_rng(400 + i)
+            for C in (1, 2, 8):
+                rng = np.random.default_rng(400 + i)
+                mults = np.sort(rng.integers(1, 9, m))[::-1].astype(float)
+                held = np.sort(np.concatenate((mults, np.zeros(K - m))))
+                gen = np.random.Generator(np.random.SFC64(i))
+                y = self._chains(mults, K, C, gen)
+                sampled = C * -(-7 // C)
+                for _ in range(4):
+                    q = rng.dirichlet(np.ones(K))
+                    mass = _mcmc_estep_mass(q, y, 7, gen, 2)
+                    for c in range(C):
+                        assert np.array_equal(np.sort(y[:, c]), held), (m, K, C, c)
+                    assert mass.sum() == pytest.approx(mults.sum(), rel=1e-12)
+                    np.testing.assert_allclose(mass * sampled, np.round(mass * sampled),
+                                               rtol=0, atol=1e-9)
+
+    def test_one_chain_is_the_serial_chain_bit_for_bit(self):
+        # C = 1 against the serial chain, from the greedy matching as the EM
+        # starts it, over three E-steps, with and without burn-in, up to the
+        # support sizes of the large-alphabet cells
+        for i, (m, K, burn) in enumerate(((7, 7, 0), (5, 8, 2), (4, 11, 0), (41, 90, 3), (1, 1, 2),
+                                           (900, 2049, 0), (1500, 2600, 15), (4000, 5001, 0))):
+            rng = np.random.default_rng(700 + i)
             mults = np.sort(rng.integers(1, 9, m))[::-1].astype(float)
-            held = np.sort(np.concatenate((mults, np.zeros(K - m))))
+            y = np.zeros((K, 1))
+            y[:m, 0] = mults
+            y_ref = y[:, 0].copy()
             gen = np.random.Generator(np.random.SFC64(i))
-            y = self._chain(mults, K, gen)
-            for _ in range(4):
+            gen_ref = np.random.Generator(np.random.SFC64(i))
+            for _ in range(3):
                 q = rng.dirichlet(np.ones(K))
-                mass = _mcmc_estep_mass(q, y, 7, gen, 2)
-                assert np.array_equal(np.sort(y), held)
-                assert mass.sum() == pytest.approx(mults.sum(), rel=1e-12)
-                np.testing.assert_allclose(mass * 7, np.round(mass * 7), rtol=0, atol=1e-9)
+                got = _mcmc_estep_mass(q, y, 60, gen, burn)
+                want = _reference_mcmc_estep_mass(q, y_ref, 60, gen_ref, burn)
+                assert got.tobytes() == want.tobytes(), (m, K, burn)
+                assert y[:, 0].tobytes() == y_ref.tobytes(), (m, K, burn)
+
+    def test_chain_count_shrinks_with_the_support_size(self):
+        assert [_chain_count(K, 60) for K in (11, 512, 513, 1000, 2000, 2048, 2049, 5000)] == [
+            8, 8, 7, 4, 2, 2, 1, 1]
+        assert [_chain_count(500, s) for s in (1, 3, 8, 60)] == [1, 3, 8, 8]
 
     @staticmethod
     @np.errstate(divide="ignore")
@@ -396,8 +488,8 @@ class TestEmPml:
                                            (41, 90, 0), (1, 3, 1), (2, 2, 0), (1, 1, 2))):
             rng = np.random.default_rng(500 + i)
             mults = np.sort(rng.integers(1, 9, m))[::-1].astype(float)
-            y = self._chain(mults, K, rng)
-            y_ref = y.copy()
+            y = self._chains(mults, K, 1, rng)
+            y_ref = y[:, 0].copy()
             gen = np.random.Generator(np.random.SFC64(i))
             gen_ref = np.random.Generator(np.random.SFC64(i))
             for _ in range(3):
@@ -406,7 +498,7 @@ class TestEmPml:
                 want, wrapped = self._allocating_estep_mass(q, y_ref, 13, gen_ref, burn)
                 wraps += wrapped
                 assert got.tobytes() == want.tobytes(), (m, K, burn)
-                assert y.tobytes() == y_ref.tobytes(), (m, K, burn)
+                assert y[:, 0].tobytes() == y_ref.tobytes(), (m, K, burn)
         assert wraps > 0
 
     def test_trace_at_large_n(self):
