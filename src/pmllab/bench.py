@@ -1,11 +1,11 @@
 """Experiment harness: on-disk formats, grid runner, CSV and SVG reports.
 
 All randomness flows from the configured seed through per-cell, per-trial
-derived seeds, so reruns are bit-identical. A cell's trials run in worker
-processes, one per CPU up to the trial count, when there are at least two
-of each; a trial's errors depend on its seed alone, so the rows are the
-same bits as when the trials run one at a time in this process, and a
-worker runs each trial under this process's warning filters.
+derived seeds, so reruns are bit-identical. A cell's trials go to W =
+min(CPUs, trials) worker processes, worker i taking trials i, i + W, ...
+as one batch, or run one at a time in this process when W is 1. A trial's
+errors depend on its seed alone, so the rows are the same bits either way,
+and a worker runs its batch under this process's warning filters.
 """
 
 from __future__ import annotations
@@ -255,10 +255,10 @@ def _error_of(cfg: ExperimentConfig, name: str, truth: Distribution):
     """``error(estimate, sample) -> float`` of ``cfg.task`` on the family
     ``name``, whose distribution at k is ``truth``.
 
-    The work that depends on the family alone happens here, once: the true
-    property value on the property tasks, and on the uniformity task the
-    check that a non-uniform family is at least epsilon from uniform in l1,
-    which makes its label 1 the right answer.
+    The work that depends on the family alone happens here, not in
+    ``error``: the true property value on the property tasks, and on the
+    uniformity task the check that a non-uniform family is at least epsilon
+    from uniform in l1, which makes its label 1 the right answer.
     """
     if cfg.task == "l1":
         return lambda est, sample: lp_distance(est, truth, 1)
@@ -279,19 +279,6 @@ def _error_of(cfg: ExperimentConfig, name: str, truth: Distribution):
     return lambda est, sample: abs(property_value(est, cfg.task, param) - target)
 
 
-def _trial_errors(cfg: ExperimentConfig, truth: Distribution, error, n: int,
-                  trial_seed: RngSeed) -> dict[str, float]:
-    """One trial's error per estimator, scored by ``error`` from
-    :func:`_error_of`."""
-    sample = draw_sample(truth, n, trial_seed.derive(1))
-    em_cfg = cfg.em_config(trial_seed.derive(2))
-    big = None
-    if "empirical_nlogn" in cfg.estimators:
-        big = draw_sample(truth, math.ceil(n * math.log(n)), trial_seed.derive(3))
-    return {est: error(_estimate_dist(cfg, est, sample, big, em_cfg), sample)
-            for est in cfg.estimators}
-
-
 def worker_count() -> int:
     """The number of worker processes that run the trials of a cell with at
     least that many trials: the CPUs this process may run on. 1 means that
@@ -303,9 +290,16 @@ def worker_count() -> int:
 
 
 def _trial(cfg: ExperimentConfig, name: str, n: int, trial_seed: RngSeed) -> dict[str, float]:
-    """One trial's errors on the family ``name``: what a worker runs."""
+    """One trial's error per estimator on the family ``name``."""
     truth = make(name, cfg.k)
-    return _trial_errors(cfg, truth, _error_of(cfg, name, truth), n, trial_seed)
+    error = _error_of(cfg, name, truth)
+    sample = draw_sample(truth, n, trial_seed.derive(1))
+    em_cfg = cfg.em_config(trial_seed.derive(2))
+    big = None
+    if "empirical_nlogn" in cfg.estimators:
+        big = draw_sample(truth, math.ceil(n * math.log(n)), trial_seed.derive(3))
+    return {est: error(_estimate_dist(cfg, est, sample, big, em_cfg), sample)
+            for est in cfg.estimators}
 
 
 def _pickled_filters() -> tuple[bytes, ...]:
@@ -335,28 +329,29 @@ def _set_filters(blobs: tuple[bytes, ...]) -> None:
 
 
 def _serve() -> None:
-    """Loop of a worker: read pickled ``(filters, fn, args)`` calls from
-    stdin until it closes, and write one pickled ``(ok, value)`` reply per
-    call to stdout, ``value`` being what ``fn(*args)`` returned or the
-    exception it raised. ``fn`` runs under the caller's warning filters,
-    so a warning that the caller turns into an error fails the call."""
+    """Loop of a worker: read pickled ``(filters, calls)`` batches from stdin
+    until it closes, and write one pickled reply per batch to stdout:
+    ``(True, values)``, ``values`` being what each ``fn(*args)`` of ``calls``
+    returned, or ``(False, (i, exc))`` where the i-th call raised ``exc``;
+    the calls after it do not run. The calls run under the caller's warning
+    filters, so a warning that the caller turns into an error fails one."""
     signal.signal(signal.SIGINT, signal.SIG_DFL)  # Ctrl-C ends the worker quietly
-    calls = sys.stdin.buffer
+    batches = sys.stdin.buffer
     replies = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)  # a stray print goes to stderr, not into the replies
-    applied = None
     while True:
         try:
-            filters, fn, args = pickle.load(calls)
+            filters, calls = pickle.load(batches)
         except EOFError:
             return
+        values = []
         try:
-            if filters != applied:
-                _set_filters(filters)
-                applied = filters
-            reply = (True, fn(*args))
+            _set_filters(filters)
+            for fn, args in calls:
+                values.append(fn(*args))
+            reply = (True, values)
         except Exception as exc:  # the caller raises it
-            reply = (False, exc)
+            reply = (False, (len(values), exc))
         pickle.dump(reply, replies)
         replies.flush()
 
@@ -372,8 +367,9 @@ def _worker_env() -> dict[str, str]:
 
 class _Workers:
     """Worker interpreters, each running :func:`_serve` on the copy of
-    pmllab that this process imported. They are started when a cell first
-    needs them and live until the interpreter exits.
+    pmllab that this process imported, one batch of calls at a time. They
+    are started when a cell first needs them and live until the interpreter
+    exits.
 
     Not ``multiprocessing``: its spawn and forkserver methods start a
     resource tracker process that can outlive the caller, and re-import the
@@ -395,22 +391,29 @@ class _Workers:
 
     def run(self, calls: list) -> list:
         """The value of ``fn(*args)`` for each ``(fn, args)`` of ``calls``, in
-        order, from min(worker_count(), len(calls)) workers. ``fn`` must
-        pickle by reference, and runs under this process's warning filters.
+        order. With W = min(worker_count(), len(calls)) below 2 the calls run
+        here; otherwise worker i makes calls i, i + W, ..., sent as one batch.
+        ``fn`` must pickle by reference, and runs under this process's
+        warning filters.
 
-        Worker i mod W makes call i, with at most two calls waiting at each,
-        so no pipe fills. A call that raised is raised here once the replies
-        already asked for are read, so none is left for the next run. A
-        worker that dies raises RuntimeError, and every worker is stopped.
+        Every batch is sent before any reply is read, and a worker reads its
+        whole batch before it writes its reply, so no pipe fills. The first
+        call that raised is raised here once every reply is read, so none is
+        left for the next run. A worker that dies raises RuntimeError, and
+        every worker is stopped.
         """
         size = min(worker_count(), len(calls))
+        if size < 2:
+            return [fn(*args) for fn, args in calls]
         filters = _pickled_filters()
         with self.lock:
             self._grow(size)
             procs = self.procs[:size]
             try:
-                replies, failed = self._exchange(
-                    procs, [(filters, fn, args) for fn, args in calls])
+                for i, proc in enumerate(procs):
+                    pickle.dump((filters, calls[i::size]), proc.stdin)
+                    proc.stdin.flush()
+                replies = [pickle.load(proc.stdout) for proc in procs]
             except (EOFError, OSError, pickle.UnpicklingError) as exc:
                 codes = [p.poll() for p in procs]
                 self.close(kill=True)
@@ -418,38 +421,21 @@ class _Workers:
             except BaseException:  # an interrupt leaves replies unread
                 self.close(kill=True)
                 raise
-        if failed is not None:
-            raise failed
-        return replies
-
-    @staticmethod
-    def _exchange(procs: list[subprocess.Popen], calls: list):
-        """The replies to ``calls``, and the first exception among them."""
-        def send(i):
-            stdin = procs[i % len(procs)].stdin
-            pickle.dump(calls[i], stdin)
-            stdin.flush()
-
-        sent = min(len(calls), 2 * len(procs))
-        for i in range(sent):
-            send(i)
-        replies, failed = [], None
-        while len(replies) < sent:
-            ok, value = pickle.load(procs[len(replies) % len(procs)].stdout)
-            replies.append(value)
-            if not ok and failed is None:
-                failed = value
-            if failed is None and sent < len(calls):
-                send(sent)  # to the worker that just replied
-                sent += 1
-        return replies, failed
+        # the j-th call of worker i is call i + j * size
+        failed = {i + value[0] * size: value[1] for i, (ok, value) in enumerate(replies) if not ok}
+        if failed:
+            raise failed[min(failed)]
+        values = [None] * len(calls)
+        for i, (_, batch) in enumerate(replies):
+            values[i::size] = batch
+        return values
 
     def close(self, kill: bool = False) -> None:
         """Stop every worker: end its input and wait, or kill it."""
         for proc in self.procs:
             if kill:
                 proc.kill()
-            with contextlib.suppress(BrokenPipeError):  # a dead worker's unread call
+            with contextlib.suppress(BrokenPipeError):  # a dead worker's unread batch
                 proc.stdin.close()
             proc.wait()
             proc.stdout.close()
@@ -473,12 +459,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_workers)
 
 
-def _pool(trials: int) -> _Workers | None:
-    """The workers for a cell of ``trials`` trials, or None where the trials
-    run in this process: one trial, or one CPU."""
-    return _WORKERS if min(worker_count(), trials) > 1 else None
-
-
 def _mean_std(errors: list[float]) -> tuple[float, float]:
     mean = math.fsum(errors) / len(errors)
     if len(errors) < 2:
@@ -496,22 +476,17 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     cell runs, so a bad grid fails at once rather than after hours of cells.
     """
     started = time.monotonic()
-    truths = {name: make(name, cfg.k) for name in cfg.distributions}
-    errors = {name: _error_of(cfg, name, truth) for name, truth in truths.items()}
+    for name in cfg.distributions:
+        _error_of(cfg, name, make(name, cfg.k))
     rows: list[ResultRow] = []
     for d_ix, dist_name in enumerate(cfg.distributions):
-        truth = truths[dist_name]
         for n_ix, n in enumerate(cfg.n_grid):
             if cfg.max_seconds is not None and time.monotonic() - started > cfg.max_seconds:
                 for est in cfg.estimators:
                     rows.append(ResultRow(dist_name, n, est, math.nan, math.nan, 0))
                 continue
-            seeds = [cfg.seed.derive(d_ix, n_ix, t) for t in range(cfg.trials)]
-            workers = _pool(cfg.trials)
-            if workers is None:
-                per_trial = [_trial_errors(cfg, truth, errors[dist_name], n, s) for s in seeds]
-            else:
-                per_trial = workers.run([(_trial, (cfg, dist_name, n, s)) for s in seeds])
+            per_trial = _WORKERS.run([(_trial, (cfg, dist_name, n, cfg.seed.derive(d_ix, n_ix, t)))
+                                      for t in range(cfg.trials)])
             for est in cfg.estimators:
                 mean, std = _mean_std([errs[est] for errs in per_trial])
                 rows.append(ResultRow(dist_name, n, est, mean, std, cfg.trials))

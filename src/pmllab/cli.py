@@ -42,7 +42,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--zipf-s", type=float, default=0.5, help="exponent for the zipf family")
     p.add_argument("--out", required=True, help="sample file to write")
 
     p = sub.add_parser("pml", parents=[em], help="profile file in, probability-vector file out")
@@ -79,8 +78,7 @@ def _em_config(args, seed: RngSeed) -> EmConfig:
 
 
 def _cmd_sample(args) -> int:
-    dist = make(args.dist, args.k, s=args.zipf_s) if args.dist == "zipf" else make(args.dist, args.k)
-    sample = draw_sample(dist, args.n, RngSeed(args.seed))
+    sample = draw_sample(make(args.dist, args.k), args.n, RngSeed(args.seed))
     bench.write_sample_file(sample, args.out)
     return 0
 

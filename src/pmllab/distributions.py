@@ -156,10 +156,10 @@ FAMILIES = {
 }
 
 
-def make(name: str, k: int, **kwargs) -> Distribution:
+def make(name: str, k: int) -> Distribution:
     """Construct a benchmark family by name."""
     try:
         builder = FAMILIES[name]
     except KeyError:
         raise ValueError(f"unknown distribution family {name!r}") from None
-    return builder(k, **kwargs)
+    return builder(k)

@@ -31,7 +31,12 @@ def property_value(dist: Distribution, which: str, param=None) -> float:
     if which == "entropy":
         return float(-(nz * np.log(nz)).sum())
     if which == "renyi":
-        return float(math.log((nz**param).sum()) / (1.0 - param))
+        # scaled by the largest entry, the sum is >= 1 and cannot underflow
+        # to 0 at a large order; alpha / (1 - alpha) comes first, as alpha *
+        # ln(top) overflows near the largest float
+        top = nz.max()
+        scaled = math.log(((nz / top) ** param).sum())
+        return float(math.log(top) * (param / (1.0 - param)) + scaled / (1.0 - param))
     if which == "power_sum":
         return float((nz**param).sum())
     if which == "support":

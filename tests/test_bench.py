@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -255,7 +256,7 @@ class TestRunExperiment:
             return t_pml_test(sample, k, epsilon, pml)
 
         monkeypatch.setattr("pmllab.bench.t_pml_test", recording)
-        monkeypatch.setattr("pmllab.bench._pool", lambda trials: None)  # patches miss workers
+        monkeypatch.setattr("pmllab.bench.worker_count", lambda: 1)  # patches miss workers
         cfg = self._small_cfg(task="uniformity", distributions=("uniform", "two_step"),
                               estimators=("pml",), epsilon=0.6, k=20, n_grid=(200,))
         run_experiment(cfg)
@@ -270,24 +271,24 @@ class TestRunExperiment:
 
     def test_unbuildable_family_fails_before_any_trial(self, monkeypatch):
         ran = []
-        monkeypatch.setattr("pmllab.bench._trial_errors", lambda *args: ran.append(args))
-        monkeypatch.setattr("pmllab.bench._pool", lambda trials: None)
+        monkeypatch.setattr("pmllab.bench._trial", lambda *args: ran.append(args))
+        monkeypatch.setattr("pmllab.bench.worker_count", lambda: 1)
         with pytest.raises(ValueError):
             run_experiment(self._small_cfg(distributions=("uniform", "three_step"), k=10))
         assert not ran
 
     def test_non_finite_renyi_order_fails_before_any_trial(self, monkeypatch):
         ran = []
-        monkeypatch.setattr("pmllab.bench._trial_errors", lambda *args: ran.append(args))
-        monkeypatch.setattr("pmllab.bench._pool", lambda trials: None)
+        monkeypatch.setattr("pmllab.bench._trial", lambda *args: ran.append(args))
+        monkeypatch.setattr("pmllab.bench.worker_count", lambda: 1)
         with pytest.raises(ValueError, match="finite"):
             run_experiment(self._small_cfg(task="renyi", alpha=math.nan))
         assert not ran
 
     def test_uniformity_family_inside_epsilon_fails_before_any_trial(self, monkeypatch):
         ran = []
-        monkeypatch.setattr("pmllab.bench._trial_errors", lambda *args: ran.append(args))
-        monkeypatch.setattr("pmllab.bench._pool", lambda trials: None)
+        monkeypatch.setattr("pmllab.bench._trial", lambda *args: ran.append(args))
+        monkeypatch.setattr("pmllab.bench.worker_count", lambda: 1)
         cfg = self._small_cfg(task="uniformity", distributions=("uniform", "two_step"),
                               estimators=("pml",), epsilon=0.9, k=20, n_grid=(200,))
         with pytest.raises(ValueError, match="two_step"):
@@ -325,12 +326,12 @@ class TestRunExperiment:
 def workers(monkeypatch):
     """The trial workers, two of them even where this machine has one CPU."""
     monkeypatch.setattr("pmllab.bench.worker_count", lambda: 2)
-    return bench._pool(2)
+    return bench._WORKERS
 
 
 def _in_process(cfg, monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr("pmllab.bench._pool", lambda trials: None)
+        m.setattr("pmllab.bench.worker_count", lambda: 1)
         return run_experiment(cfg)
 
 
@@ -354,15 +355,28 @@ class TestTrialWorkers:
             tuple(map(repr, r)) for r in _in_process(cfg, monkeypatch)]
 
     def test_replies_come_in_task_order(self, workers):
-        # five tasks on two workers: more than the two that wait at each
+        # five tasks on two workers: the first takes tasks 0, 2 and 4, the
+        # second 1 and 3, and the replies are put back in task order
         cfg = self._small_cfg(n_grid=(60,))
         tasks = [(cfg, name, n, RngSeed(t)) for t, (name, n) in enumerate(
             [("uniform", 60), ("zipf", 200), ("uniform", 30), ("zipf", 60), ("uniform", 90)])]
-        want = []
-        for _, name, n, seed in tasks:
-            truth = make(name, cfg.k)
-            want.append(bench._trial_errors(cfg, truth, bench._error_of(cfg, name, truth), n, seed))
+        want = [bench._trial(*task) for task in tasks]
         assert workers.run([(bench._trial, task) for task in tasks]) == want
+
+    def test_batches_larger_than_a_pipe_buffer_go_through(self, workers):
+        # each worker gets two calls whose replies hold 100 kB, more than a
+        # pipe's buffer, then two whose arguments do: a worker that wrote a
+        # reply before it had read the rest of its calls would block on it,
+        # and so would the caller, sending those calls
+        calls = [(bytes, (100_000,))] * 4 + [(len, (bytes([t]) * 100_000,)) for t in range(4)]
+        got = []
+        runner = threading.Thread(target=lambda: got.append(workers.run(calls)), daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        if runner.is_alive():
+            workers.close(kill=True)
+            pytest.fail("a pipe filled")
+        assert got == [[bytes(100_000)] * 4 + [100_000] * 4]
 
     def test_worker_count_is_the_cpus_this_process_may_use(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
@@ -427,6 +441,12 @@ class TestTrialWorkers:
         procs = list(workers.procs)
         assert run_experiment(cfg) == _in_process(cfg, monkeypatch)
         assert workers.procs == procs  # a trial's error keeps the workers
+
+    def test_the_first_call_that_raised_is_raised(self, workers):
+        # the first worker fails at call 2, the second at call 1
+        with pytest.raises(ValueError, match="'x1'"):
+            workers.run([(int, (text,)) for text in ("0", "x1", "x2", "3")])
+        assert workers.run([(int, (text,)) for text in ("0", "1", "2")]) == [0, 1, 2]
 
     def test_dead_worker_is_a_runtime_error_and_the_pool_restarts(self, workers, monkeypatch):
         cfg = self._small_cfg(n_grid=(60,))
@@ -498,6 +518,23 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             main(["sample", "--dist", "uniform"])
         assert err.value.code == 1
+
+    def test_zipf_exponent_is_not_a_sample_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["sample", "--dist", "zipf", "--k", "20", "--n", "200", "--zipf-s", "-1000",
+                  "--out", str(tmp_path / "s.txt")])
+        assert err.value.code == 1
+        assert "--zipf-s" in capsys.readouterr().err
+        assert not (tmp_path / "s.txt").exists()
+
+    def test_renyi_at_a_large_order_is_finite(self, tmp_path, capsys):
+        out = tmp_path / "s.txt"
+        assert main(["sample", "--dist", "uniform", "--k", "5000", "--n", "200",
+                     "--out", str(out)]) == 0
+        assert main(["estimate", "--sample", str(out), "--property", "renyi",
+                     "--alpha", "1e300"]) == 0
+        # the largest empirical frequency is 2/200 or more
+        assert 0.0 < float(capsys.readouterr().out.strip()) <= math.log(100)
 
     def test_sample_then_estimate(self, tmp_path, capsys):
         out = tmp_path / "s.txt"

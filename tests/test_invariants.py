@@ -17,7 +17,10 @@ from pmllab import (
     approximate_pml,
     em_pml_trace,
     estimate_support,
+    plug_in,
     profile_of,
+    profile_probability,
+    profile_probability_bruteforce,
     remd_truncated,
     sorted_l1,
     tpml_distribution,
@@ -25,6 +28,8 @@ from pmllab import (
 )
 from pmllab.bench import read_profile_file, read_sample_file, write_profile_file, write_sample_file
 from pmllab.core import PROB_TOL
+from pmllab.dist_est import ESTIMATORS
+from pmllab.properties import PROPERTY_TAGS, _checked_param
 from pmllab.pml_em import _mcmc_estep_mass
 
 _examples = settings(max_examples=50, deadline=None, derandomize=True)
@@ -241,3 +246,52 @@ def test_sampled_estep_chains_stay_matchings(instance):
 def test_support_estimate_keeps_a_point_per_seen_symbol(counts):
     sample = Sample(counts)
     assert estimate_support(sample) >= sample.distinct
+
+
+@st.composite
+def _enumerable_instance(draw):
+    """A distribution over k <= 10 symbols and a profile of n draws with at
+    most k distinct symbols, k^n <= 1e5: small enough to sum over every
+    sequence. A weight is 0 or at least 1e-3, so that no sequence's
+    probability, which the sum forms in linear space, is subnormal."""
+    k = draw(st.integers(1, 10))
+    most = 12 if k == 1 else max(n for n in range(1, 18) if k**n <= 10**5)
+    n = draw(st.integers(1, most))
+    # cuts of 1..n into at most k runs: the multiplicities
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=min(k, n) - 1))) if n > 1 else []
+    mults = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    weights = draw(st.lists(weight, min_size=k, max_size=k).filter(lambda w: sum(w) > 0))
+    return _normalised(weights), Profile.from_multiplicities(mults)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(instance=_enumerable_instance())
+def test_profile_probability_is_the_sum_over_sequences(instance):
+    dist, profile = instance
+    assert profile_probability(dist, profile) == pytest.approx(
+        profile_probability_bruteforce(dist, profile), rel=1e-12, abs=0.0)
+
+
+_params = st.one_of(
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(0.0, 1e300),
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 90.0, 1e300, 1.7e308]),
+)
+
+
+@pytest.mark.parametrize("which", PROPERTY_TAGS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(counts=_counts, estimator=st.sampled_from(ESTIMATORS), param=_params)
+def test_plug_in_is_finite_for_every_accepted_parameter(which, counts, estimator, param):
+    def value():
+        return plug_in(Sample(counts), which, estimator, param, cfg=_tiny_em)
+
+    try:
+        _checked_param(which, param)
+    except ValueError:
+        with pytest.raises(ValueError):
+            value()
+        return
+    assert math.isfinite(value())

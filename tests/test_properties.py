@@ -35,8 +35,16 @@ class TestPropertyValue:
     def test_uniform_entropies(self):
         u = make("uniform", 64)
         assert property_value(u, "entropy") == pytest.approx(math.log(64), abs=1e-12)
-        for alpha in (0.5, 2.0, 3.0):
+        # from alpha = 200 on, the plain sum of p^alpha underflows to 0
+        for alpha in (0.5, 2.0, 3.0, 200.0, 1e300, 1.7e308):
             assert property_value(u, "renyi", alpha) == pytest.approx(math.log(64), abs=1e-12)
+        assert property_value(make("uniform", 5000), "renyi", 90) == pytest.approx(
+            math.log(5000), abs=1e-12)
+
+    def test_renyi_at_a_huge_order_is_the_min_entropy(self):
+        d = make("zipf", 100)
+        assert property_value(d, "renyi", 1e300) == pytest.approx(
+            -math.log(max(d.probs)), abs=1e-12)
 
     def test_power_sum_uniform(self):
         assert property_value(make("uniform", 10), "power_sum", 2) == pytest.approx(0.1)
