@@ -160,6 +160,9 @@ class ExperimentConfig:
             raise ValueError(f"n_grid entries must be >= {least_n} with estimators {self.estimators}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        # a NaN budget would never run out, and a negative one skips every cell
+        if self.max_seconds is not None and not self.max_seconds >= 0.0:
+            raise ValueError(f"max_seconds must be >= 0, not {self.max_seconds}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.task == "renyi" and self.alpha is None:

@@ -69,7 +69,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--svg", action="store_true", help="also write per-distribution charts")
     p.add_argument("--max-seconds", type=float, default=None,
-                   help="abort grid cells starting after this budget")
+                   help="abort grid cells starting after this budget, in seconds (>= 0)")
     return parser
 
 

@@ -5,13 +5,18 @@ dynamic program over the remaining count per multiplicity group. A pass
 takes any number of rows of probabilities: the exact E-step of the EM
 solver, its likelihood scores and the oracle's grid each make one call over
 all their rows, which runs them in blocks that bound the tables' memory.
-Its tables are small, so a pass costs NumPy calls more than arithmetic.
-The table keeps the row axis last, so each of the two in-place ufunc calls
-per point and group runs its inner loop over contiguous rows, and the
-table, its views and buffers are made once per block, or once per EM run
-for the exact E-step, which reuses them on every iteration. Sequence
-enumeration is the independent reference for the program; the grid-search
-maximizer, which validates the EM solver, scores through it.
+Its tables are small, so a pass costs NumPy calls more than arithmetic. The
+table keeps the row axis last, so every call runs its inner loop over
+contiguous rows, and the table, its views and buffers are made once per
+block, or once per EM run for the exact E-step, which reuses them on every
+iteration. While a point's sums over all G groups take at most a sixteenth
+of ``_MAX_DP_STATES`` cells, a middle point costs one broadcast add and one
+``logaddexp`` per group; a larger table takes one group at a time through a
+copy of itself and one shared scratch buffer, about three tables in all.
+The first point is written directly and the last one computed only at the
+cells the pass returns. Sequence enumeration is the independent reference
+for the program; the grid-search maximizer, which validates the EM solver,
+scores through it.
 """
 
 from __future__ import annotations
@@ -75,46 +80,103 @@ class _MonomialPass:
     number of rows, made once and reused by every :meth:`run`.
 
     A pass costs NumPy calls more than arithmetic on these small tables, so
-    everything it touches is made here: the table, whose row axis is last
-    so that every group's shifted view runs its inner loop over contiguous
-    rows, the previous point's copy, each group's view of both, and one
-    scratch buffer that every group reads through a view of its own shape
-    (one buffer per group would multiply the peak memory by up to G). The
-    exact EM makes one per run and calls :meth:`run` once per E-step.
+    everything it touches is made here. The table's row axis is last, so
+    that every group's shifted view runs its inner loop over contiguous
+    rows. A point's G group sums are held at once while they are small,
+    16 * G * cells <= ``_MAX_DP_STATES`` (at most 512 KiB): one G-table
+    buffer that one broadcast add fills, and each group's view of it, with
+    the last point gathered at the returned cells. A larger table keeps a
+    copy of itself for the previous point and one scratch buffer that every
+    group reads through a view of its own shape, about three tables in all
+    (one buffer per group would multiply that by up to G). The exact EM
+    makes one pass per run and calls :meth:`run` once per E-step.
     """
 
     def __init__(self, vals: np.ndarray, counts: np.ndarray, rows: int):
-        _dp_states(counts)
+        states = _dp_states(counts)
+        groups = counts.size
         self.vals = vals[:, None]
-        self.table = np.empty((*(counts + 1), rows))
-        self.prev = np.empty_like(self.table)
-        scratch = np.empty(self.table.size)
-        lead = (slice(None),) * counts.size
-        self.views = []
-        for g in range(counts.size):
-            dst = self.table[lead[:g] + (slice(1, None),)]
-            src = self.prev[lead[:g] + (slice(None, -1),)]
-            self.views.append((dst, src, scratch[: src.size].reshape(src.shape)))
-        # the cell of counts c, and the cells of c less one symbol of each group
-        self.flat = self.table.reshape(-1, rows)
-        stride = np.asarray(self.table.strides[:-1]) // (rows * self.table.itemsize)
-        self.at = int(counts @ stride)
-        self.short_at = self.at - stride
+        # a point's terms as G tables of one cell per row
+        self.point = (groups, *(1,) * groups, rows)
+        held = 16 * groups * states * rows <= _MAX_DP_STATES
+        # the table, then, for the gather, one cell of -inf for a returned
+        # cell less one symbol of a group that has none left
+        self.flat = np.empty((states + held, rows))
+        self.flat[states:] = -np.inf
+        self.table = self.flat[:states].reshape(*(counts + 1), rows)
+        lead = (slice(None),) * groups
+        dst = [self.table[lead[:g] + (slice(1, None),)] for g in range(groups)]
+        src = [lead[:g] + (slice(None, -1),) for g in range(groups)]
+        if held:
+            self.prev = None
+            self.sums = np.empty((groups, *self.table.shape))
+            self.views = [(d, self.sums[g][s]) for g, (d, s) in enumerate(zip(dst, src))]
+        else:
+            self.prev, self.sums = np.empty_like(self.table), None
+            scratch = np.empty(self.table.size)
+            self.views = []
+            for d, s in zip(dst, src):
+                s = self.prev[s]
+                self.views.append((d, s, scratch[: s.size].reshape(s.shape)))
+        # cell units[g] holds one symbol of group g; the pass returns the
+        # cell of the counts and the cells of the counts less one symbol of
+        # each group. near[0, i] is returned cell i, near[g + 1, i] that
+        # cell less one symbol of group g, or the -inf cell where g has
+        # none; rows past the first are read only while the sums are held.
+        self.units = np.asarray(self.table.strides[:-1]) // (rows * self.table.itemsize)
+        at = int(counts @ self.units)
+        cells = np.concatenate(([at], at - self.units))
+        self.near = np.vstack((cells, cells - self.units[:, None]))
+        spent = np.flatnonzero(counts == 1)
+        self.near[spent + 1, spent + 1] = states
 
     def run(self, lp: np.ndarray):
         """(full, short) of :func:`_log_monomial_sums` for the rows of ``lp``
         (2-D, one row per table row); both are fresh arrays, not views of
-        the table."""
-        table = self.table
+        the table.
+
+        Point s updates every cell c, group after group, to logaddexp(c,
+        c' + vals[g] * lp[:, s]), with c' the previous point's cell c less
+        one symbol of g. Of two or more points, the first writes term g into
+        the cell of one symbol of g: that is logaddexp(-inf, 0.0 + term g)
+        but for the sign of a zero, which no later logaddexp tells apart.
+        While the sums are held at once, each later point but the last
+        takes one broadcast add and one logaddexp per group, and the last
+        point is made only at the G + 1 returned cells: their terms are
+        gathered, the cell itself first, and reduced in group order, a
+        missing cell reading -inf, where logaddexp(x, -inf) == x. A larger
+        table makes each group's sum in turn at every later point, the last
+        one too, since the gather would take up to twice the table. Every
+        bit is that of the update run at every cell and point.
+        """
+        table, flat = self.table, self.flat
         table.fill(-np.inf)
-        table[(0,) * (table.ndim - 1)] = 0.0
-        # vl[s, g] is vals[g] * lp[:, s], a row vector for a group's view
-        for point in lp.T[:, None, :] * self.vals:
-            np.copyto(self.prev, table)
-            for (d, s, t), v in zip(self.views, point):
-                np.add(s, v, out=t)
-                np.logaddexp(d, t, out=d)
-        return self.flat[self.at].copy(), np.ascontiguousarray(self.flat[self.short_at].T)
+        flat[0] = 0.0
+        # terms[s, g] is vals[g] * lp[:, s]
+        terms = lp.T[:, None, :] * self.vals
+        points = terms.reshape(-1, *self.point)
+        if len(points) > 1:
+            flat[self.units] = terms[0]
+            points = points[1:]
+        if self.sums is None:
+            for point in points:
+                np.copyto(self.prev, table)
+                for (d, s, t), v in zip(self.views, point):
+                    np.add(s, v, out=t)
+                    np.logaddexp(d, t, out=d)
+            out = flat[self.near[0]]
+        else:
+            for point in points[:-1]:
+                np.add(table, point, out=self.sums)
+                for d, s in self.views:
+                    np.logaddexp(d, s, out=d)
+            out = flat[self.near]
+            if len(points):
+                out[1:] += terms[-1][:, None, :]
+                out = np.logaddexp.reduce(out, axis=0)
+            else:
+                out = out[0]
+        return out[0], np.ascontiguousarray(out[1:].T)
 
 
 @np.errstate(divide="ignore")  # np.log of a zero entry

@@ -191,6 +191,13 @@ class TestConfig:
             with pytest.raises(ValueError, match=f">= {n + 1}"):
                 ExperimentConfig(**{**base, "estimators": estimators, "n_grid": (n, 100)})
         ExperimentConfig(**{**base, "estimators": ("empirical",), "n_grid": (1,)})  # n = 1 suffices
+        # a NaN budget never runs out and a negative one writes only NaN rows;
+        # zero runs no cell and inf every one
+        for budget in (math.nan, -1.0, -math.inf):
+            with pytest.raises(ValueError, match="max_seconds"):
+                ExperimentConfig(**{**base, "max_seconds": budget})
+        for budget in (0.0, math.inf, None):
+            assert ExperimentConfig(**{**base, "max_seconds": budget}).max_seconds == budget
         # repeats would write duplicate (distribution, n, estimator) rows
         for key, value in [("distributions", ("uniform", "uniform")),
                            ("estimators", ("empirical", "empirical")),
@@ -640,6 +647,15 @@ class TestCli:
         assert len(rows[0]) == len(rows[2]) == 2
         assert all(r[3] != "nan" and r[5] == "2" for r in rows[0])
         assert all(r[3] == r[4] == "nan" and r[5] == "0" for r in rows[2])
+
+    @pytest.mark.parametrize("budget", ["nan", "-1"])
+    def test_bench_rejects_a_budget_that_cannot_run_out_or_runs_nothing(self, tmp_path, budget):
+        config = tmp_path / "grid.cfg"
+        config.write_text("task = entropy\ndistributions = uniform\nk = 10\nn_grid = 40\n"
+                          "trials = 2\nestimators = empirical\n")
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(config), "--out", str(out), "--max-seconds", budget]) == 1
+        assert not out.exists()
 
     def test_em_defaults_match_library(self):
         lib = EmConfig()

@@ -1,6 +1,8 @@
 """Property-based tests: invariants checked on generated inputs."""
 
 import math
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -26,7 +28,16 @@ from pmllab import (
     tpml_distribution,
     wasserstein1_multiset,
 )
-from pmllab.bench import read_profile_file, read_sample_file, write_profile_file, write_sample_file
+from pmllab.bench import (
+    _CONFIG_KEYS,
+    ExperimentConfig,
+    parse_config,
+    read_pml_file,
+    read_profile_file,
+    read_sample_file,
+    write_profile_file,
+    write_sample_file,
+)
 from pmllab.core import PROB_TOL
 from pmllab.dist_est import ESTIMATORS
 from pmllab.properties import PROPERTY_TAGS, _checked_param
@@ -295,3 +306,98 @@ def test_plug_in_is_finite_for_every_accepted_parameter(which, counts, estimator
             value()
         return
     assert math.isfinite(value())
+
+
+# Generated inputs for the readers: mostly near-valid, so that the checks
+# past the first malformed token run too.
+_numbers = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.integers(0, 2**80).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["0.5", "1", "1.0", "-0", "1e-400", "1e999", "nan", "inf", "-inf", "1_0", "\u0663", "\u00b2"]),
+)
+_token = st.one_of(_numbers, st.text(max_size=6))
+_file_lines = st.one_of(
+    # sample, profile and PML files as written, then lines of any tokens
+    st.lists(st.tuples(st.integers(0, 9), st.integers(0, 3)).map("{0[0]} {0[1]}".format), max_size=5),
+    st.lists(st.integers(0, 3).map(str), max_size=5).map(lambda phis: [" ".join(phis)]),
+    _weights.map(lambda w: [repr(v) for v in _normalised(w).probs]),
+    st.lists(st.lists(_token, max_size=3).map(" ".join) | st.text(max_size=10), max_size=8),
+)
+_file_contents = st.one_of(
+    _file_lines.map(lambda lines: "\n".join(lines).encode("utf-8")), st.binary(max_size=40)
+)
+
+
+@pytest.mark.parametrize("reader", [read_sample_file, read_profile_file, read_pml_file])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(contents=_file_contents)
+def test_a_malformed_file_raises_value_error(reader, contents):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes(contents)
+        try:
+            reader(path)
+        except ValueError:
+            pass
+
+
+_VALID_CONFIG = ["task = entropy", "distributions = uniform, zipf", "k = 10", "n_grid = 40, 80"]
+_config_values = st.one_of(
+    _numbers,
+    st.lists(_numbers, min_size=1, max_size=3).map(", ".join),
+    st.sampled_from(["entropy", "renyi", "coverage", "uniformity", "l1", "sorted_l1", "uniform, zipf",
+                     "pml, empirical", "tpml", "empirical", "uniform, uniform", ","]),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def _config_texts(draw):
+    """A valid config with lines dropped, replaced and added: keys known
+    and unknown, values of every type, and lines that are not key = value."""
+    lines = [line for line in _VALID_CONFIG if draw(st.booleans()) or draw(st.booleans())]
+    key = st.sampled_from([*_CONFIG_KEYS, "what", ""])
+    line = st.one_of(
+        st.builds("{}{}{}".format, key, st.sampled_from([" = ", "=", " "]), _config_values),
+        st.text(max_size=16),
+    )
+    lines += draw(st.lists(line, max_size=4))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(text=_config_texts())
+def test_a_malformed_config_raises_value_error(text):
+    try:
+        assert isinstance(parse_config(text), ExperimentConfig)
+    except ValueError:
+        pass
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+"""
+
+
+def test_a_failing_property_reports_its_example(tmp_path):
+    # under this repository's pytest settings, a failing hypothesis test
+    # prints its falsifying example instead of ending in INTERNALERROR
+    # while hypothesis prepares the report
+    (tmp_path / "test_fails.py").write_text(_FAILING_PROPERTY)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    out = run.stdout + run.stderr
+    assert "INTERNALERROR" not in out
+    assert "Falsifying example: test_fails(" in run.stdout
+    assert run.returncode == 1, out

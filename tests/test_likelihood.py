@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmllab import (
     Distribution,
@@ -16,7 +17,9 @@ from pmllab import (
 )
 from pmllab.likelihood import (
     _MAX_DP_STATES,
+    _dp_states,
     _log_monomial_sums,
+    _MonomialPass,
     _multiplicity_groups,
     _profile_probabilities,
 )
@@ -130,9 +133,10 @@ def _groups(mults):
 
 
 def _reference_log_monomial_sums(lp, mults):
-    """The DP as first written, as a reference for the buffered pass: groups
-    from np.unique, a fresh copy of the table and fresh temporaries per
-    point."""
+    """The DP as first written, one group at a time, as the reference for
+    the pass: groups from np.unique, and per point a fresh copy of the
+    table, then one add and one logaddexp per group, into fresh
+    temporaries."""
     lp = np.atleast_2d(lp)
     vals, counts = np.unique(np.asarray(mults), return_counts=True)
     rows = (slice(None),)
@@ -166,6 +170,38 @@ def _reference_instances():
             yield stack, m
 
 
+def _check_pass(lp, mults, one_group_at_a_time):
+    """Both entry points of the pass against the per-group loop, byte for
+    byte, with every group's sums at once or, under a state limit patched
+    to the table's size, one group at a time."""
+    want = _reference_log_monomial_sums(lp, mults)[1:]
+    vals, counts = _groups(mults)
+    vals = vals.astype(float)
+    with pytest.MonkeyPatch.context() as mp:
+        if one_group_at_a_time:
+            # one block of every row, whose sums exceed 1/16 of the limit
+            mp.setattr("pmllab.likelihood._MAX_DP_STATES", _dp_states(counts) * lp.shape[0])
+        dp = _MonomialPass(vals, counts, lp.shape[0])
+        assert (dp.prev is not None) == one_group_at_a_time
+        assert _same_bits(dp.run(lp), want)
+        assert _same_bits(dp.run(lp), want)  # a second run starts afresh
+        assert _same_bits(_log_monomial_sums(lp, vals, counts), want)
+
+
+@st.composite
+def _pass_instances(draw):
+    """Rows of log entries, -inf and -0.0 among them, for 1-4 groups of 1-3
+    symbols over m to m + 3 points, or over 0-2 points."""
+    vals = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True))
+    counts = draw(st.lists(st.integers(1, 3), min_size=len(vals), max_size=len(vals)))
+    m = sum(counts)
+    K = draw(st.one_of(st.integers(m, m + 3), st.integers(0, 2)))
+    rows = draw(st.integers(1, 12))
+    entry = st.one_of(st.floats(-40.0, 0.0), st.sampled_from([-np.inf, -0.0]))
+    lp = draw(st.lists(entry, min_size=rows * K, max_size=rows * K))
+    return np.asarray(lp, dtype=float).reshape(rows, K), np.repeat(vals, counts)
+
+
 class TestLogMonomialSums:
     """The exact E-step runs the DP once over many rows; each row must give
     the bits of a run on that row alone, and the buffered pass the bits of
@@ -182,6 +218,24 @@ class TestLogMonomialSums:
             assert got_vals.dtype == vals.dtype
             groups_seen.add(counts.size)
         assert {1, 6} <= groups_seen
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(instance=_pass_instances(), one_group_at_a_time=st.booleans())
+    def test_pass_matches_the_per_group_loop_bit_for_bit(self, instance, one_group_at_a_time):
+        _check_pass(*instance, one_group_at_a_time)
+
+    @pytest.mark.parametrize("one_group_at_a_time", [False, True])
+    @pytest.mark.parametrize("points", [0, 1, 2])
+    def test_zero_one_and_two_points(self, points, one_group_at_a_time):
+        # the first of two or more points is written directly, and the last
+        # one gathered while the sums are held: with up to two points no
+        # point is a middle one, and with none the pass returns the
+        # starting table
+        rng = np.random.default_rng(67)
+        for mults in ([1], [2, 2], [1, 3, 3], [1, 2, 3, 4], [5, 5, 5, 1]):
+            lp = np.log(rng.random((4, points)))
+            lp[0, :1] = -np.inf
+            _check_pass(lp, np.asarray(mults), one_group_at_a_time)
 
     def test_profile_probability_matches_the_allocating_pass(self):
         rng = random.Random(53)
@@ -210,9 +264,12 @@ class TestLogMonomialSums:
                 assert _same_bits(_log_monomial_sums(cut, *_groups(mults)), want)
 
     def test_peak_memory_stays_near_the_table(self):
-        # 16 groups of one symbol: 2^16 states, a 512 KiB table. The pass
-        # keeps the table, the previous point's copy and one shared scratch
-        # buffer; a buffer per group would take several times the table.
+        # 16 groups of one symbol: 2^16 states, a 512 KiB table, far past
+        # the size at which the pass holds every group's sums at once
+        # (16 * G * cells <= _MAX_DP_STATES). So it takes one group at a
+        # time, from the table, the previous point's copy and one shared
+        # scratch buffer; all 16 sums, or a buffer per group, would take
+        # several times the table.
         prof = Profile({i: 1 for i in range(1, 17)})
         table_bytes = 2**16 * 8
         tracemalloc.start()
