@@ -17,8 +17,9 @@ from .core import Distribution, Sample, _integer
 
 _UINT64 = 2**64
 _GOLDEN = 0x9E3779B97F4A7C15
-#: NumPy's multinomial counts in signed 64-bit integers.
-_MAX_DRAWS = 2**63
+#: NumPy's multinomial counts, and its array sizes, are signed 64-bit
+#: integers: sample and alphabet sizes stay below this.
+_INT64_END = 2**63
 
 
 def _splitmix64(x: int) -> int:
@@ -67,7 +68,7 @@ def draw_sample(dist: Distribution, n: int, seed: "RngSeed | int") -> Sample:
     whatever n is, up to ``n < 2**63``.
     """
     n = _integer(n, "sample size")
-    if not 1 <= n < _MAX_DRAWS:
+    if not 1 <= n < _INT64_END:
         raise ValueError(f"sample size must be in [1, 2**63), got {n}")
     p = dist.as_array()
     # multinomial gives its last entry whatever the others leave, float dust
@@ -85,16 +86,23 @@ def _normalized(weights) -> Distribution:
     return Distribution([w / total for w in weights])
 
 
-def make_uniform(k: int) -> Distribution:
+def _alphabet_size(k: int) -> int:
+    """``k`` as an alphabet size in [1, 2**63): past that range a family would
+    fail in the building of its list, or never finish it."""
     k = _integer(k, "alphabet size")
-    if k < 1:
-        raise ValueError("alphabet size must be >= 1")
+    if not 1 <= k < _INT64_END:
+        raise ValueError(f"alphabet size must be in [1, 2**63), got {k}")
+    return k
+
+
+def make_uniform(k: int) -> Distribution:
+    k = _alphabet_size(k)
     return Distribution([1.0 / k] * k)
 
 
 def make_two_step(k: int) -> Distribution:
     """Half the symbols at 2/(5k), the other half at 8/(5k)."""
-    k = _integer(k, "alphabet size")
+    k = _alphabet_size(k)
     if k < 2 or k % 2:
         raise ValueError(f"two-step needs an even alphabet size, got {k}")
     half = k // 2
@@ -103,7 +111,7 @@ def make_two_step(k: int) -> Distribution:
 
 def make_three_step(k: int) -> Distribution:
     """Thirds of the symbols at 3/(13k), 9/(13k), and 27/(13k)."""
-    k = _integer(k, "alphabet size")
+    k = _alphabet_size(k)
     if k < 3 or k % 3:
         raise ValueError(f"three-step needs an alphabet size divisible by 3, got {k}")
     third = k // 3
@@ -114,9 +122,7 @@ def make_three_step(k: int) -> Distribution:
 
 def make_geometric(k: int) -> Distribution:
     """p_i proportional to (1 - g)^i with g = 1/k, truncated at k and renormalized."""
-    k = _integer(k, "alphabet size")
-    if k < 1:
-        raise ValueError("alphabet size must be >= 1")
+    k = _alphabet_size(k)
     if k == 1:
         return Distribution([1.0])
     g = 1.0 / k
@@ -125,9 +131,7 @@ def make_geometric(k: int) -> Distribution:
 
 def make_zipf(k: int, s: float = 0.5) -> Distribution:
     """p_i proportional to i^(-s), truncated at k and renormalized."""
-    k = _integer(k, "alphabet size")
-    if k < 1:
-        raise ValueError("alphabet size must be >= 1")
+    k = _alphabet_size(k)
     return _normalized([i ** (-s) for i in range(1, k + 1)])
 
 
@@ -137,9 +141,7 @@ def make_log_series(k: int) -> Distribution:
     For k <= 2 the weights degenerate (gamma >= 1); the limit distribution
     concentrates on the first symbol, which is what we return.
     """
-    k = _integer(k, "alphabet size")
-    if k < 1:
-        raise ValueError("alphabet size must be >= 1")
+    k = _alphabet_size(k)
     if k <= 2:
         return Distribution([1.0] + [0.0] * (k - 1))
     gamma = 2.0 / k

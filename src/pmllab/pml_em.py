@@ -21,9 +21,10 @@ pairwise content exchanges per sweep covers both symbol swaps and moves to
 empty points. Below about 2,000 points it advances up to eight chains as
 one array, splitting the E-step's sweep budget among them, because there
 NumPy's per-call overhead, not the arithmetic, sets the cost of a sweep.
-Its randomness is drawn once per E-step: one random slot order, shared by
-the chains, fixes which points meet, one offset per sweep rotates the
-pairing, and each chain gets its own acceptance uniforms. That randomness
+Its pairing is drawn once per E-step: one random slot order, shared by
+the chains, fixes which points meet, and one offset per sweep rotates the
+pairing; each chain gets its own acceptance uniforms, drawn in blocks of
+whole sweeps of at most 8 MiB (or one sweep), not all at once. That randomness
 comes from an SFC64 generator under the EM seed, not from the Philox
 streams of sampling: the chains advance in one serial computation that
 needs no counter-based streams, and SFC64 draws its uniforms about three
@@ -234,11 +235,17 @@ def _mcmc_estep_mass(
 
     The pairing is drawn once per E-step and shared by the chains. One
     random slot order splits the points into halves A and B; sweep t pairs
-    A[i] with B[(i + r_t) mod |B|]. The offsets and all acceptance uniforms
-    come from one draw each of ``gen`` (SFC64 on the EM path); each chain
-    gets its own uniforms. No point sits out a whole E-step (with odd K, one
-    B point rests per sweep), and over the sweeps every A x B pair can be
-    proposed; those transpositions reach every arrangement of the contents.
+    A[i] with B[(i + r_t) mod |B|]. Then come the offsets, one draw of
+    ``gen`` (SFC64 on the EM path), and last the acceptance uniforms, each
+    chain its own. The uniforms are drawn as the sweeps reach them, in
+    blocks of whole sweeps of at most _UNIFORM_BLOCK_ENTRIES entries (one
+    sweep if that is larger): the generator fills a row-major array in
+    order and the sweeps draw nothing else, so the blocks give the bits of
+    one (sweeps, K // 2 * C) draw while holding 8 MiB of it at most, or
+    one sweep's worth when that is more. No
+    point sits out a whole E-step (with odd K, one B point rests per
+    sweep), and over the sweeps every A x B pair can be proposed; those
+    transpositions reach every arrangement of the contents.
 
     The ``sweeps`` budget is split among the chains: each runs ``burn``
     unsampled sweeps, then ceil(sweeps / C) sampled ones. The chain axis is
@@ -247,12 +254,17 @@ def _mcmc_estep_mass(
     (broadcasting them instead would make every inner loop only C entries
     long). With C = 1 this is the plain serial chain: the same draws, the
     same arithmetic, the same bits. Each sweep writes its differences, gains
-    and acceptance mask into three arrays made once per call.
+    and acceptance mask into three arrays made once per call, and its B
+    window into B's second copy, which it then refreshes over that window
+    alone: one slice, or two when the window wraps.
 
     ``y`` is the (K, C) chain state and is advanced in place, so the chains
-    persist across E-steps. The mass, the mean over chains and sampled
-    sweeps, sums integer-valued contents, so it is exact up to the final
-    division.
+    persist across E-steps. The call ends in slot order: the state's rows
+    and the mass are gathered into point order through the inverse of the
+    slot order, which is cheaper than scattering them through the order
+    itself. The mass, the mean over chains and sampled sweeps, sums
+    integer-valued contents, so it is exact, whatever the order of the
+    sums, up to the final division.
     """
     K, C = y.shape
     sampled = -(-sweeps // C)
@@ -266,18 +278,25 @@ def _mcmc_estep_mass(
     # between sweeps. Offsets below are in entries, points times C.
     w = y.take(np.concatenate((order, order[half:])), axis=0).ravel()
     hc, bc, kc = half * C, nb * C, K * C
-    lw = np.log(np.maximum(q[order], _LOG_FLOOR)).repeat(C)
+    lw = np.log(np.maximum(q[order], _LOG_FLOOR))
+    if C > 1:
+        lw = lw.repeat(C)
     la = lw[:hc]
-    lb_twice = np.tile(lw[hc:], 2)
+    lb_twice = np.concatenate((lw[hc:], lw[hc:]))
     at = gen.integers(nb, size=steps)
-    logu = gen.random((steps, hc))
-    np.log(logu, out=logu)  # in place: this is the E-step's largest array
+    rows = min(steps, max(1, _UNIFORM_BLOCK_ENTRIES // max(hc, 1)))
+    logu = np.empty((rows, hc))
     za = w[:hc]
     acc = np.zeros(kc)
     step = np.empty(hc)
     gain = np.empty(hc)
     ok = np.empty(hc, dtype=bool)
     for t, r in enumerate((at * C).tolist()):
+        i = t % rows
+        if i == 0:  # the next block of uniforms; the last may be shorter
+            block = logu[: steps - t]
+            gen.random(out=block)
+            np.log(block, out=block)
         e = r + hc
         zb = w[hc + r : hc + e]
         # Accepted exchanges are applied as a blend without branches, which
@@ -285,20 +304,27 @@ def _mcmc_estep_mass(
         np.subtract(zb, za, out=step)
         np.subtract(la, lb_twice[r:e], out=gain)
         gain *= step
-        np.less(logu[t], gain, out=ok)
+        np.less(logu[i], gain, out=ok)
         step *= ok
         za += step
         zb -= step
+        # B and its copy agree again over the window alone: when the window
+        # ran into the copy, that part goes back to B and the rest forward
         wrap = e - bc
-        if wrap > 0:  # the window ran into the copy; write that part back to B
+        if wrap > 0:
             w[hc : hc + wrap] = w[kc : kc + wrap]
-        w[kc:] = w[hc:kc]
+            w[kc + r :] = w[hc + r : kc]
+        else:
+            w[kc + r : kc + e] = zb
         if t >= burn:
             acc += w[:kc]
-    y[order] = w[:kc].reshape(K, C)
-    mass = np.empty(K)
-    mass[order] = acc.reshape(K, C).sum(axis=1) / (C * sampled)
-    return mass
+    inv = np.empty(K, dtype=np.intp)
+    inv[order] = np.arange(K)
+    # every index is in range; "clip" spares take the buffer that "raise" needs
+    w[:kc].reshape(K, C).take(inv, axis=0, out=y, mode="clip")
+    if C > 1:
+        acc = acc.reshape(K, C) @ np.ones(C)
+    return acc.take(inv) / (C * sampled)
 
 
 #: The sampled-E-step solver returns the mean of the descending-sorted
@@ -315,6 +341,11 @@ _AVG_WINDOW = 20
 _MAX_CHAINS = 8
 _BATCH_ENTRIES = 4096
 _REBURN = 4
+
+#: The sampled E-step draws its acceptance uniforms in blocks of whole
+#: sweeps of at most this many float64 entries (8 MiB), or one sweep when
+#: that is larger, so their memory does not grow with the sweep count.
+_UNIFORM_BLOCK_ENTRIES = 2**20
 
 
 def _scores(q, profile: Profile) -> list[float]:

@@ -59,6 +59,15 @@ class TestFamilies:
             assert math.fsum(d.probs) == pytest.approx(1.0, abs=1e-12)
             assert min(d.probs) >= 0.0
 
+    def test_alphabet_size_bounds(self):
+        # from 2**63 on, a ValueError before any list is built (uniform used
+        # to raise OverflowError there, geometric and zipf never finished);
+        # 3 * 2**63 is even and divisible by 3, so only the bound refuses it
+        for name, build in FAMILIES.items():
+            for k in (0, -6, 3 * 2**63):
+                with pytest.raises(ValueError, match="alphabet size"):
+                    build(k)
+
     def test_make_registry(self):
         assert make("uniform", 3).probs == make_uniform(3).probs
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Property-based tests: invariants checked on generated inputs."""
 
+import contextlib
+import io
 import math
 import subprocess
 import sys
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pmllab import (
     Distribution,
@@ -38,8 +40,10 @@ from pmllab.bench import (
     write_profile_file,
     write_sample_file,
 )
+from pmllab.cli import main
 from pmllab.core import PROB_TOL
 from pmllab.dist_est import ESTIMATORS
+from pmllab.distributions import FAMILIES
 from pmllab.properties import PROPERTY_TAGS, _checked_param
 from pmllab.pml_em import _mcmc_estep_mass
 
@@ -376,7 +380,7 @@ def test_a_malformed_config_raises_value_error(text):
 
 
 _FAILING_PROPERTY = """
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 
 @settings(database=None, derandomize=True)
@@ -401,3 +405,142 @@ def test_a_failing_property_reports_its_example(tmp_path):
     assert "INTERNALERROR" not in out
     assert "Falsifying example: test_fails(" in run.stdout
     assert run.returncode == 1, out
+
+
+# Generated pmllab command lines. A value is valid and small three times in
+# four, else invalid: negative, zero, past 64 bits, NaN, infinite, -0.0 or
+# non-numeric. The EM budgets are at most 2 when valid and are given nine
+# times in ten (their defaults are cheap here too), so that a valid line
+# finishes in milliseconds, on at most 20 symbols and 50 draws. Paths name
+# files made once per module ({in}), missing files and the directory among
+# them, or paths in a fresh output directory per example ({out}).
+def _mostly(valid, invalid):
+    return st.integers(0, 3).flatmap(lambda i: valid if i else invalid)
+
+
+def _cli_names(names, bad):
+    return _mostly(st.sampled_from(names), st.sampled_from(bad))
+
+
+_cli_bad_ints = st.one_of(
+    st.integers(-3, 0), st.integers(2**63, 2**80), st.sampled_from(["1.5", "1e3", "0x10", "abc", ""]),
+)
+_cli_bad_floats = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "-0.0", "0", "1e308", "5e-324", "-1", "abc", ""]),
+    st.floats().map(repr),
+)
+_cli_k = _mostly(st.integers(1, 20), _cli_bad_ints)
+_cli_n = _mostly(st.integers(1, 50), _cli_bad_ints)
+_cli_budget = _mostly(st.integers(1, 2), st.integers(-2, 0))
+_cli_seed = _mostly(st.integers(0, 2**64 - 1), _cli_bad_ints)
+_CLI_CONFIGS = ["entropy.cfg", "uniformity.cfg", "l1.cfg", "coverage.cfg", "renyi.cfg"]
+
+
+def _cli_input(*names):
+    """One of the named input files three times in four, else another kind
+    of file, an empty, binary or missing one, or a directory."""
+    other = ["sample.txt", "profile.txt", "pml.txt", *_CLI_CONFIGS,
+             "empty.txt", "binary.txt", "missing.txt", ""]
+    return _mostly(st.sampled_from(names), st.sampled_from(other)).map("{{in}}/{}".format)
+
+
+_cli_outs = _mostly(st.sampled_from(["{out}/result.txt", "{out}/grid"]),
+                    st.sampled_from(["{out}", "{out}/missing/result.txt"]))
+#: The paths that name a missing file, or a directory where a file belongs:
+#: the only lines that may end in a runtime failure (exit 2).
+_CLI_FILE_FAULTS = {"{in}/missing.txt", "{in}/", "{out}", "{out}/missing/result.txt"}
+_cli_em_flags = {"--em-iters": (_cli_budget, True), "--sweeps": (_cli_budget, True),
+                 "--seed": (_cli_seed, False)}
+#: Each command's flags: the value strategy (None for a switch), and
+#: whether the flag is given nine times in ten rather than one in two.
+_cli_flags = {
+    "sample": {"--dist": (_cli_names(sorted(FAMILIES), ["zipf2", ""]), True), "--k": (_cli_k, True),
+               "--n": (_cli_n, True), "--seed": (_cli_seed, False), "--out": (_cli_outs, True)},
+    "pml": {**_cli_em_flags, "--profile": (_cli_input("profile.txt"), True), "--out": (_cli_outs, True),
+            "--k": (_cli_k, False)},
+    "estimate": {**_cli_em_flags, "--sample": (_cli_input("sample.txt"), True),
+                 "--property": (_cli_names(PROPERTY_TAGS, ["mean"]), True),
+                 "--estimator": (_cli_names(ESTIMATORS, ["mle"]), False),
+                 "--alpha": (_mostly(st.sampled_from(["0.5", "2", "1e300"]), _cli_bad_floats), False),
+                 "--coverage-m": (_cli_k, False), "--k": (_cli_k, False)},
+    "test-uniformity": {**_cli_em_flags, "--k": (_cli_k, True),
+                        "--epsilon": (_mostly(st.sampled_from(["0.5", "1", "1.9"]), _cli_bad_floats), True),
+                        "--sample": (_cli_input("sample.txt"), False),
+                        "--dist": (_cli_names(sorted(FAMILIES), ["zipf2"]), True), "--n": (_cli_n, True)},
+    "bench": {"--config": (_cli_input(*_CLI_CONFIGS), True), "--out": (_cli_outs, True),
+              "--svg": (None, False),
+              "--max-seconds": (_mostly(st.sampled_from(["0", "60", "inf"]), _cli_bad_floats), False)},
+}
+
+_CLI_INPUTS = {
+    "sample.txt": "0 3\n1 1\n4 2\n7 1\n9 1\n12 2\n",
+    "profile.txt": "3 2 1\n",
+    "pml.txt": "0.5\n0.25\n0.25\n",
+    "empty.txt": "",
+    "entropy.cfg": "task = entropy\ndistributions = uniform, zipf\nk = 10\nn_grid = 20, 40\ntrials = 1\n"
+                   "estimators = pml, empirical, tpml, empirical_nlogn\nem_iterations = 2\nmcmc_sweeps = 2\n",
+    "uniformity.cfg": "task = uniformity\ndistributions = uniform, two_step\nk = 10\nn_grid = 40\n"
+                      "trials = 1\nepsilon = 0.5\nestimators = pml\nem_iterations = 1\nmcmc_sweeps = 1\n",
+    "l1.cfg": "task = l1\ndistributions = geometric\nk = 12\nn_grid = 30\ntrials = 1\n"
+              "estimators = pml, empirical\nem_iterations = 2\nmcmc_sweeps = 2\n",
+    "coverage.cfg": "task = coverage\ndistributions = log_series\nk = 9\nn_grid = 25\ntrials = 1\n"
+                    "coverage_m = 50\nem_iterations = 1\nmcmc_sweeps = 2\n",
+    "renyi.cfg": "task = renyi\ndistributions = three_step\nk = 6\nn_grid = 10\ntrials = 1\nalpha = 1e300\n"
+                 "estimators = empirical\n",
+}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    for name, text in _CLI_INPUTS.items():
+        (root / name).write_text(text)
+    (root / "binary.txt").write_bytes(b"\xff\xfe\x00 3\n\x80")
+    return root
+
+
+@st.composite
+def _cli_lines(draw):
+    """A pmllab argument list: a command (or none, or an unknown one), then
+    its flags in any order, each with a generated value; a flag may be left
+    out or lack its value, and one in five lines gains an unknown flag or a
+    free token."""
+    command = draw(st.sampled_from([*_cli_flags, "fit", None]))
+    flags = _cli_flags.get(command, {})
+    args = [] if command is None else [command]
+    for flag in draw(st.permutations(sorted(flags))):
+        values, usual = flags[flag]
+        if draw(st.integers(0, 9)) >= (9 if usual else 5):
+            continue
+        args.append(flag)
+        if values is not None and draw(st.integers(0, 19)):
+            args.append(str(draw(values)))
+    if not draw(st.integers(0, 4)):
+        token = draw(st.sampled_from(["--bogus", "-x", "--k=3", "--", "-h", "extra", "--n"]))
+        args.insert(draw(st.integers(0, len(args))), token)
+    return args
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(line=_cli_lines())
+# alphabet sizes past 64 bits: uniform used to fail in its list building
+# (exit 2), and geometric and zipf never finished building theirs
+@example(line=["sample", "--dist", "uniform", "--k", str(2**63), "--n", "5", "--out", "{out}/s.txt"])
+@example(line=["sample", "--dist", "geometric", "--k", str(2**64), "--n", "5", "--out", "{out}/s.txt"])
+@example(line=["test-uniformity", "--dist", "zipf", "--k", str(2**70), "--n", "9", "--epsilon", "0.5",
+               "--em-iters", "1", "--sweeps", "1"])
+def test_a_generated_command_line_exits_0_1_or_2(cli_inputs, line):
+    # every command line ends in a success, invalid input (1) or, when it
+    # names a missing file or a directory for a file, a runtime failure (2);
+    # never in a traceback
+    with tempfile.TemporaryDirectory() as out:
+        argv = [arg.replace("{in}", str(cli_inputs)).replace("{out}", out) for arg in line]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors and --help
+                code = exc.code
+    assert code in (0, 1) or code == 2 and _CLI_FILE_FAULTS.intersection(line), (
+        argv, code, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue(), argv

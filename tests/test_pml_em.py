@@ -26,6 +26,7 @@ from pmllab import (
     split_large,
     tpml_distribution,
 )
+from pmllab import pml_em
 from pmllab.likelihood import _MAX_DP_STATES, _log_monomial_sums, profile_probability
 from pmllab.pml_em import (
     _LOG_FLOOR,
@@ -80,6 +81,55 @@ def _reference_mcmc_estep_mass(q, y, sweeps, gen, burn):
     mass = np.empty(K)
     mass[order] = acc / sweeps
     return mass
+
+
+@np.errstate(divide="ignore")
+def _reference_batched_estep_mass(q, y, sweeps, gen, burn):
+    """The batched sampled E-step written plainly, as a reference for C
+    chains: B's whole mirror copied after every sweep, all uniforms drawn at
+    once, the state and the mass scattered through the slot order. Also
+    returns the number of sweeps whose window wrapped."""
+    K, C = y.shape
+    sampled = -(-sweeps // C)
+    steps = sampled + burn
+    order = gen.permutation(K)
+    half = K // 2
+    nb = K - half
+    w = y.take(np.concatenate((order, order[half:])), axis=0).ravel()
+    hc, bc, kc = half * C, nb * C, K * C
+    lw = np.log(np.maximum(q[order], _LOG_FLOOR)).repeat(C)
+    la = lw[:hc]
+    lb_twice = np.tile(lw[hc:], 2)
+    at = gen.integers(nb, size=steps)
+    logu = gen.random((steps, hc))
+    np.log(logu, out=logu)
+    za = w[:hc]
+    acc = np.zeros(kc)
+    step = np.empty(hc)
+    gain = np.empty(hc)
+    ok = np.empty(hc, dtype=bool)
+    wraps = 0
+    for t, r in enumerate((at * C).tolist()):
+        e = r + hc
+        zb = w[hc + r : hc + e]
+        np.subtract(zb, za, out=step)
+        np.subtract(la, lb_twice[r:e], out=gain)
+        gain *= step
+        np.less(logu[t], gain, out=ok)
+        step *= ok
+        za += step
+        zb -= step
+        wrap = e - bc
+        if wrap > 0:
+            wraps += 1
+            w[hc : hc + wrap] = w[kc : kc + wrap]
+        w[kc:] = w[hc:kc]
+        if t >= burn:
+            acc += w[:kc]
+    y[order] = w[:kc].reshape(K, C)
+    mass = np.empty(K)
+    mass[order] = acc.reshape(K, C).sum(axis=1) / (C * sampled)
+    return mass, wraps
 
 
 class TestEmConfig:
@@ -434,6 +484,52 @@ class TestEmPml:
                 want = _reference_mcmc_estep_mass(q, y_ref, 60, gen_ref, burn)
                 assert got.tobytes() == want.tobytes(), (m, K, burn)
                 assert y[:, 0].tobytes() == y_ref.tobytes(), (m, K, burn)
+
+    #: (m, K) for the batched bit-identity tests: odd and even K, K = m and
+    #: K > m, and K = 1 and 2
+    _BATCHED_SHAPES = ((7, 7), (6, 6), (5, 8), (4, 11), (40, 55), (41, 90), (1, 1), (1, 2), (2, 2))
+
+    def test_batched_chains_match_the_reference_bit_for_bit(self):
+        # the mass and the (K, C) state, over three E-steps, with and
+        # without burn-in, from a random placement per chain
+        wraps = 0
+        cases = itertools.product((2, 3, 8), self._BATCHED_SHAPES, (0, 4))
+        for i, (C, (m, K), burn) in enumerate(cases):
+            rng = np.random.default_rng(900 + i)
+            mults = np.sort(rng.integers(1, 9, m))[::-1].astype(float)
+            y = self._chains(mults, K, C, rng)
+            y_ref = y.copy()
+            gen = np.random.Generator(np.random.SFC64(i))
+            gen_ref = np.random.Generator(np.random.SFC64(i))
+            for _ in range(3):
+                q = rng.dirichlet(np.ones(K))
+                got = _mcmc_estep_mass(q, y, 13, gen, burn)
+                want, wrapped = _reference_batched_estep_mass(q, y_ref, 13, gen_ref, burn)
+                wraps += wrapped
+                assert got.tobytes() == want.tobytes(), (m, K, C, burn)
+                assert y.tobytes() == y_ref.tobytes(), (m, K, C, burn)
+            assert gen.random() == gen_ref.random()  # the same draws, no more
+        assert wraps > 0
+
+    def test_uniforms_drawn_in_blocks_keep_every_bit(self, monkeypatch):
+        # blocks of 1, 2 and 3 sweeps, and a block limit below one sweep,
+        # give the bits of one draw of all the uniforms
+        for i, (C, (m, K)) in enumerate(itertools.product((1, 2, 8), self._BATCHED_SHAPES)):
+            hc = K // 2 * C
+            for entries in (1, hc, 2 * hc, 3 * hc):
+                monkeypatch.setattr(pml_em, "_UNIFORM_BLOCK_ENTRIES", entries)
+                rng = np.random.default_rng(950 + i)
+                mults = np.sort(rng.integers(1, 9, m))[::-1].astype(float)
+                y = self._chains(mults, K, C, rng)
+                y_ref = y.copy()
+                gen = np.random.Generator(np.random.SFC64(i))
+                gen_ref = np.random.Generator(np.random.SFC64(i))
+                for burn in (3, 0):
+                    q = rng.dirichlet(np.ones(K))
+                    got = _mcmc_estep_mass(q, y, 13, gen, burn)
+                    want, _ = _reference_batched_estep_mass(q, y_ref, 13, gen_ref, burn)
+                    assert got.tobytes() == want.tobytes(), (m, K, C, entries)
+                    assert y.tobytes() == y_ref.tobytes(), (m, K, C, entries)
 
     def test_chain_count_shrinks_with_the_support_size(self):
         assert [_chain_count(K, 60) for K in (11, 512, 513, 1000, 2000, 2048, 2049, 5000)] == [
