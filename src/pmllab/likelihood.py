@@ -2,21 +2,22 @@
 
 The probability of observing a given profile comes from one log-space
 dynamic program over the remaining count per multiplicity group. A pass
-takes any number of rows of probabilities: the exact E-step of the EM
-solver, its likelihood scores and the oracle's grid each make one call over
-all their rows, which runs them in blocks that bound the tables' memory.
+takes any number of rows of probabilities: the likelihood trace of the
+sampled EM and the oracle's grid each make one call over all their rows,
+which runs them in blocks that bound the tables' memory. The exact EM makes
+one pass per run: every E-step runs it, and so does the scoring of the EM's
+endpoints and of a trace's iterates, through rows that keep every point.
 Its tables are small, so a pass costs NumPy calls more than arithmetic. The
 table keeps the row axis last, so every call runs its inner loop over
 contiguous rows, and the table, its views and buffers are made once per
-block, or once per EM run for the exact E-step, which reuses them on every
-iteration. While a point's sums over all G groups take at most a sixteenth
-of ``_MAX_DP_STATES`` cells, a middle point costs one broadcast add and one
-``logaddexp`` per group; a larger table takes one group at a time through a
-copy of itself and one shared scratch buffer, about three tables in all.
-The first point is written directly and the last one computed only at the
-cells the pass returns. Sequence enumeration is the independent reference
-for the program; the grid-search maximizer, which validates the EM solver,
-scores through it.
+block or pass. While a point's sums over all G groups take at most a
+sixteenth of ``_MAX_DP_STATES`` cells, a middle point costs one broadcast
+add and one ``logaddexp`` per group; a larger table takes one group at a
+time through a copy of itself and one shared scratch buffer, about three
+tables in all. The first point is written directly and the last one
+computed only at the cells the pass returns. Sequence enumeration is the
+independent reference for the program; the grid-search maximizer, which
+validates the EM solver, scores through it.
 """
 
 from __future__ import annotations
@@ -191,10 +192,15 @@ def _profile_probabilities(points: np.ndarray, profile: Profile) -> np.ndarray:
     points = np.atleast_2d(points)
     if not profile.m:
         return np.ones(points.shape[0])
+    full, _ = _log_monomial_sums(np.log(points), *_multiplicity_groups(profile))
+    return _probabilities(full, profile)
+
+
+def _probabilities(full: np.ndarray, profile: Profile) -> np.ndarray:
+    """The capped profile probabilities of the whole multiset's log monomial sums ``full``."""
     log_coef = math.lgamma(profile.n + 1) - sum(
         phi * math.lgamma(i + 1) for i, phi in profile.prevalences.items()
     )
-    full, _ = _log_monomial_sums(np.log(points), *_multiplicity_groups(profile))
     return np.array([min(1.0, math.exp(log_coef + v)) for v in full.tolist()])
 
 

@@ -14,7 +14,8 @@ output support points as the latent variable. The E-step is exact on small
 instances (the log-space dynamic program of the profile likelihood, over
 K + 1 rows per start: each support point left out, then none) and
 Metropolis-sampled at scale. The exact path runs two starts, and they
-advance together: one pass of the program per EM iteration covers both.
+advance together through one pass of the program, run once per EM
+iteration and again to score their endpoints and a trace's iterates.
 Symbols of equal multiplicity are exchangeable, so the sampled E-step runs
 its chains on the multiplicity each support point holds: one block of
 pairwise content exchanges per sweep covers both symbol swaps and moves to
@@ -34,17 +35,19 @@ assigned multiplicity mass.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .core import Distribution, Profile, Sample, _integer, profile_of
 from .distributions import RngSeed, as_seed
-from .likelihood import _MonomialPass, _multiplicity_groups, _profile_probabilities
+from .likelihood import (_MonomialPass, _dp_states, _multiplicity_groups, _probabilities,
+                         _profile_probabilities)
 
 #: Take the E-step exactly up to these sizes, sample beyond them.
 _EXACT_M_LIMIT = 8
@@ -179,8 +182,10 @@ def _empirical_start(mults: np.ndarray, K: int) -> np.ndarray:
 
 
 def _exact_estep(vals: np.ndarray, counts: np.ndarray, S: int, K: int):
-    """The exact E-step for S starts over K points, as a function from the
-    (S, K) iterate to the expected multiplicity mass per support point.
+    """The exact E-step for S starts over K points: ``mass`` maps the (S, K)
+    iterate to the expected multiplicity mass per support point, and
+    ``log_full`` any number of rows of log probabilities to the log monomial
+    sums of the whole multiset, which score them, through the same pass.
 
     Point s hosts a symbol of multiplicity v with probability q_s^v times
     the monomial sum of the rest of the multiset over the other points,
@@ -190,6 +195,8 @@ def _exact_estep(vals: np.ndarray, counts: np.ndarray, S: int, K: int):
     last row keeps every point. ``vals`` and ``counts`` are the multiplicity
     groups of the profile. The rows, their -inf diagonal and the program's
     tables are made here, once; each call overwrites every cell it reads.
+    ``log_full`` runs its rows S * (K + 1) at a time, the last block padded
+    with zeros; each row's bits do not depend on its block.
     """
     dp = _MonomialPass(vals, counts, S * (K + 1))
     rows = np.full((S, K + 1, K), -np.inf)
@@ -203,14 +210,12 @@ def _exact_estep(vals: np.ndarray, counts: np.ndarray, S: int, K: int):
         short = short.reshape(S, K + 1, -1)[:, :K]
         return np.exp(vals * lq[..., None] + short - full) @ vals
 
-    return mass
+    def log_full(lp: np.ndarray) -> np.ndarray:
+        blocks = np.zeros((-(-len(lp) // (S * (K + 1))), S * (K + 1), K))
+        blocks.reshape(-1, K)[: len(lp)] = lp
+        return np.concatenate([dp.run(block)[0] for block in blocks])[: len(lp)]
 
-
-def _exact_estep_mass(q: np.ndarray, vals: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Expected multiplicity mass per support point, exactly, for each row
-    of ``q`` (S starts over K points), through tables made for this call
-    alone (see :func:`_exact_estep`)."""
-    return _exact_estep(vals, counts, *q.shape)(q)
+    return mass, log_full
 
 
 @np.errstate(divide="ignore")  # np.log of a uniform draw of exactly 0.0
@@ -348,30 +353,31 @@ _REBURN = 4
 _UNIFORM_BLOCK_ENTRIES = 2**20
 
 
-def _scores(q, profile: Profile) -> list[float]:
-    """The profile probability of each row of ``q`` as a :class:`Distribution`."""
-    return _profile_probabilities(np.stack([Distribution(row).as_array() for row in q]),
-                                  profile).tolist()
-
-
 def _em_exact(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig):
     """EM with the exact E-step from the tilted uniform start and, when
-    K >= 2, the empirical one; the starts advance together, one pass of the
-    dynamic program per iteration. Yields the iterates of the start whose
-    endpoint has the higher likelihood (the first on a tie)."""
+    K >= 2, the empirical one; the starts advance together, one run of the
+    dynamic program's pass per iteration. Returns the iterates of the start
+    whose endpoint is likelier (the first on a tie) and the function that
+    scored the endpoints through the same pass: the profile probability of
+    each row of a matrix of checked distributions."""
     vals, counts = _multiplicity_groups(profile)
     starts = [_tilted_uniform(K)]
     if K >= 2:
         # desk scale is cheap enough to certify both basins by likelihood
         starts.append(_empirical_start(mults, K))
     iterates = [np.stack(starts)]
-    estep = _exact_estep(vals, counts, *iterates[0].shape)
+    estep, log_full = _exact_estep(vals, counts, *iterates[0].shape)
+
+    @np.errstate(divide="ignore")  # np.log of a zero entry
+    def score(points: np.ndarray) -> np.ndarray:
+        return _probabilities(log_full(np.log(points)), profile)
+
     for _ in range(cfg.em_iterations):
         mass = estep(iterates[-1])
         iterates.append(mass / mass.sum(axis=1, keepdims=True))
-    best = int(np.argmax(_scores(iterates[-1], profile)))  # the first start on a tie
-    for q in iterates:
-        yield q[best]
+    ends = np.stack([Distribution(q).as_array() for q in iterates[-1]])
+    best = int(np.argmax(score(ends)))  # the first start on a tie
+    return [q[best] for q in iterates], score
 
 
 def _chain_count(K: int, sweeps: int) -> int:
@@ -418,9 +424,11 @@ def _em_sampled(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig):
     yield averaged / window
 
 
-def _em_run(profile: Profile, K: int, cfg: EmConfig) -> Iterator[np.ndarray]:
+def _em_run(profile: Profile, K: int, cfg: EmConfig):
     """Check the inputs now and return the EM iterates, the initialization
-    first and the estimate last."""
+    first and the estimate last, with a function that gives the profile
+    probability of each row of a matrix of checked distributions over K
+    points: on the exact path, through the pass of its E-step."""
     K = _integer(K, "support size")
     if K < 1:
         raise ValueError("support size must be >= 1")
@@ -428,10 +436,11 @@ def _em_run(profile: Profile, K: int, cfg: EmConfig) -> Iterator[np.ndarray]:
     m = int(mults.size)
     if m > K:
         raise ValueError(f"support size {K} cannot host {m} distinct symbols")
+    score = functools.partial(_profile_probabilities, profile=profile)
     if m == 0 or cfg.em_iterations == 0:
-        return iter([_tilted_uniform(K)])
+        return iter([_tilted_uniform(K)]), score
     if m > _EXACT_M_LIMIT or K > _EXACT_K_LIMIT:
-        return _em_sampled(profile, mults, K, cfg)
+        return _em_sampled(profile, mults, K, cfg), score
     return _em_exact(profile, mults, K, cfg)
 
 
@@ -448,16 +457,19 @@ def em_pml(profile: Profile, K: int, cfg: EmConfig | None = None) -> Distributio
     iterates, which strips most of the Monte Carlo jitter from the returned
     multiset. Only the last iterate is kept.
     """
-    return Distribution(deque(_em_run(profile, K, cfg or EmConfig()), maxlen=1).pop())
+    return Distribution(deque(_em_run(profile, K, cfg or EmConfig())[0], maxlen=1).pop())
 
 
 def em_pml_trace(profile: Profile, K: int, cfg: EmConfig | None = None):
     """Like :func:`em_pml`, but also returns the profile probability of every
-    iterate (initialization included), scored after the EM in one pass of
-    the dynamic program. A profile too large for that program raises
-    ``ValueError`` once the EM has run."""
-    iterates = list(_em_run(profile, K, cfg or EmConfig()))
-    return Distribution(iterates[-1]), _scores(iterates, profile)
+    iterate (initialization included), scored after the EM by one pass of
+    the dynamic program: on the exact path, the pass its E-step ran. A
+    profile too large for that program raises ``ValueError`` before the EM
+    runs."""
+    _dp_states(_multiplicity_groups(profile)[1])
+    iterates, score = _em_run(profile, K, cfg or EmConfig())
+    iterates = [Distribution(q) for q in iterates]
+    return iterates[-1], score(np.stack([q.as_array() for q in iterates])).tolist()
 
 
 def _light_em(split: SplitResult, k_hint: int | None, cfg: EmConfig) -> np.ndarray | None:

@@ -26,14 +26,21 @@ from pmllab import (
     split_large,
     tpml_distribution,
 )
-from pmllab import pml_em
-from pmllab.likelihood import _MAX_DP_STATES, _log_monomial_sums, profile_probability
+from pmllab import likelihood, pml_em
+from pmllab.likelihood import (
+    _MAX_DP_STATES,
+    _log_monomial_sums,
+    _multiplicity_groups,
+    _probabilities,
+    _profile_probabilities,
+    profile_probability,
+)
 from pmllab.pml_em import (
     _LOG_FLOOR,
     _chain_count,
     _em_run,
     _empirical_start,
-    _exact_estep_mass,
+    _exact_estep,
     _mcmc_estep_mass,
     _tilted_uniform,
     split_threshold,
@@ -277,7 +284,7 @@ class TestEmPml:
             for wi, p in zip(w, perms):
                 want[list(p)] += wi * mults
             want /= w.sum()
-            got = _exact_estep_mass(q[None], *np.unique(mults, return_counts=True))[0]
+            got = _exact_estep(*np.unique(mults, return_counts=True), 1, K)[0](q[None])[0]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
             assert got.sum() == pytest.approx(mults.sum(), rel=1e-12)
 
@@ -289,10 +296,10 @@ class TestEmPml:
             groups = np.unique(mults.astype(float), return_counts=True)
             q = rng.dirichlet(np.ones(K), size=int(rng.integers(1, 4)))
             q[0, -1] = 1e-320
-            got = _exact_estep_mass(q, *groups)
+            got = _exact_estep(*groups, *q.shape)[0](q)
             assert got.shape == q.shape
             for row_got, row in zip(got, q):
-                assert row_got.tobytes() == _exact_estep_mass(row[None], *groups)[0].tobytes()
+                assert row_got.tobytes() == _exact_estep(*groups, 1, K)[0](row[None])[0].tobytes()
 
     def test_leave_one_out_rows_match_an_identity_mask(self):
         # the rows built with np.where over np.eye, as a reference for the
@@ -311,7 +318,7 @@ class TestEmPml:
             full = full.reshape(S, K + 1)[:, K, None, None]
             short = short.reshape(S, K + 1, -1)[:, :K]
             want = np.exp(vals * lq[..., None] + short - full) @ vals
-            assert _exact_estep_mass(q, vals, counts).tobytes() == want.tobytes()
+            assert _exact_estep(vals, counts, S, K)[0](q).tobytes() == want.tobytes()
 
     @staticmethod
     def _sequential_starts(profile, K, cfg):
@@ -325,7 +332,7 @@ class TestEmPml:
             trace = []
             for _ in range(cfg.em_iterations):
                 trace.append(profile_probability(Distribution(q), profile))
-                mass = _exact_estep_mass(q[None], *groups)[0]
+                mass = _exact_estep(*groups, 1, K)[0](q[None])[0]
                 q = mass / mass.sum()
             dist = Distribution(q)
             trace.append(profile_probability(dist, profile))
@@ -363,16 +370,50 @@ class TestEmPml:
             q = np.stack([_tilted_uniform(K)] + ([_empirical_start(mults, K)] if K >= 2 else []))
             want = [q]
             for _ in range(cfg.em_iterations):
-                mass = _exact_estep_mass(q, *groups)
+                mass = _exact_estep(*groups, *q.shape)[0](q)
                 q = mass / mass.sum(axis=1, keepdims=True)
                 want.append(q)
             ends = [profile_probability(Distribution(row), prof) for row in q]
             best = ends.index(max(ends))
-            got = list(_em_run(prof, K, cfg))
+            got = list(_em_run(prof, K, cfg)[0])
             assert [g.tobytes() for g in got] == [w[best].tobytes() for w in want], (K, prof)
             dist, trace = em_pml_trace(prof, K, cfg)
             assert dist.as_array().tobytes() == Distribution(want[-1][best]).as_array().tobytes()
             assert trace == [profile_probability(Distribution(w[best]), prof) for w in want]
+
+    def test_scores_through_the_estep_pass_equal_a_pass_of_their_own(self):
+        # the exact EM scores its endpoints, and a trace its iterates,
+        # through the keep-all rows of the E-step's pass, S * (K + 1) rows
+        # to a run, fewer or more rows than that; a zero entry enters as
+        # -inf in both
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            K = int(rng.integers(1, 11))
+            prof = Profile.from_multiplicities(rng.integers(1, 6, int(rng.integers(1, min(K, 8) + 1))))
+            S = int(rng.integers(1, 3))
+            p = rng.dirichlet(np.ones(K), size=int(rng.integers(1, 3 * S * (K + 1))))
+            p[0, -1] = 0.0
+            _, log_full = _exact_estep(*_multiplicity_groups(prof), S, K)
+            with np.errstate(divide="ignore"):
+                full = log_full(np.log(p))
+            assert _probabilities(full, prof).tobytes() == _profile_probabilities(p, prof).tobytes()
+
+    def test_one_dynamic_program_pass_per_exact_run(self, monkeypatch):
+        made = []
+
+        class Counted(likelihood._MonomialPass):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(likelihood, "_MonomialPass", Counted)
+        monkeypatch.setattr(pml_em, "_MonomialPass", Counted)
+        for prof, K in ((Profile({3: 1}), 1), (Profile({1: 2, 2: 1}), 6),
+                        (Profile.from_multiplicities(range(1, 9)), 10)):
+            for run in (em_pml, em_pml_trace):
+                made.clear()
+                run(prof, K)
+                assert len(made) == 1, (run, prof, K)
 
     def test_sampled_trace_ends_at_the_estimate(self):
         rng = random.Random(67)
@@ -391,14 +432,19 @@ class TestEmPml:
         # both E-step paths
         for prof, K in ((Profile({1: 3, 2: 1}), 6), (Profile({1: 9, 3: 2}), 14)):
             cfg = EmConfig(em_iterations=6, mcmc_sweeps_per_estep=4)
-            seen = [(q, q.copy()) for q in _em_run(prof, K, cfg)]
+            seen = [(q, q.copy()) for q in _em_run(prof, K, cfg)[0]]
             assert len(seen) == cfg.em_iterations + 1
             assert all(np.array_equal(q, c) for q, c in seen)
 
-    def test_trace_refuses_a_profile_beyond_the_dynamic_program(self):
+    def test_trace_refuses_a_profile_beyond_the_dynamic_program(self, monkeypatch):
         prof = Profile.from_multiplicities(range(1, _MAX_DP_STATES.bit_length() + 1))
         cfg = EmConfig(em_iterations=2, mcmc_sweeps_per_estep=2)
         em_pml(prof, prof.m, cfg)
+
+        def no_em(*args):
+            raise AssertionError("the EM ran before the refusal")
+
+        monkeypatch.setattr(pml_em, "_em_run", no_em)
         with pytest.raises(ValueError, match="dynamic-program states"):
             em_pml_trace(prof, prof.m, cfg)
 
@@ -427,7 +473,7 @@ class TestEmPml:
             rng = np.random.default_rng(300 + i)
             mults = np.sort(rng.integers(1, 5, m))[::-1].astype(float)
             q = rng.dirichlet(np.ones(K))
-            want = _exact_estep_mass(q[None], *np.unique(mults, return_counts=True))[0]
+            want = _exact_estep(*np.unique(mults, return_counts=True), 1, K)[0](q[None])[0]
             gen = np.random.Generator(np.random.SFC64(i))
             got = _mcmc_estep_mass(q, self._chains(mults, K, 1, gen), 20000, gen, 10)
             assert np.abs(got - want).max() <= 0.01 * mults.sum(), (m, K)
