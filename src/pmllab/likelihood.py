@@ -1,17 +1,17 @@
 """Exact profile probabilities and a grid-search PML oracle.
 
 The probability of observing a given profile comes from one log-space
-dynamic program over the remaining count per multiplicity group. A pass
-takes any number of rows of probabilities: the likelihood trace of the
-sampled EM and the oracle's grid each make one call over all their rows,
-which runs them in blocks that bound the tables' memory. The exact EM makes
-one pass per run: every E-step runs it, and so does the scoring of the EM's
-endpoints and of a trace's iterates, through rows that keep every point.
-Its tables are small, so a pass costs NumPy calls more than arithmetic. The
-table keeps the row axis last, so every call runs its inner loop over
-contiguous rows, and the table, its views and buffers are made once per
-block or pass. While a point's sums over all G groups take at most a
-sixteenth of ``_MAX_DP_STATES`` cells, a middle point costs one broadcast
+dynamic program over the remaining count per multiplicity group, run by
+one pass (:class:`_MonomialPass`) over a fixed number of rows of
+probabilities. The pass runs any number of rows in blocks of that many,
+which bounds the tables' memory: the likelihood trace of the sampled EM and
+the oracle's grid each score all their rows through one pass, and the exact
+EM runs one pass per run, for every E-step and again to score its endpoints
+and a trace's iterates. Its tables are small, so a pass costs NumPy calls
+more than arithmetic. The table keeps the row axis last, so every call runs
+its inner loop over contiguous rows, and the table, its views and buffers
+are made once per pass. While a point's sums over all G groups take at most
+a sixteenth of ``_MAX_DP_STATES`` cells, a middle point costs one broadcast
 add and one ``logaddexp`` per group; a larger table takes one group at a
 time through a copy of itself and one shared scratch buffer, about three
 tables in all. The first point is written directly and the last one
@@ -28,7 +28,7 @@ from collections import Counter
 
 import numpy as np
 
-from .core import Distribution, Profile
+from .core import Distribution, Profile, _integer
 
 _BRUTE_FORCE_LIMIT = 10**7
 _MAX_DP_STATES = 2**20
@@ -40,31 +40,10 @@ _ORACLE_GRID_STEPS = 60
 
 def _multiplicity_groups(profile: Profile) -> tuple[np.ndarray, np.ndarray]:
     """The distinct multiplicities (ascending, float) and the number of
-    symbols with each: the groups of :func:`_log_monomial_sums`."""
+    symbols with each: the groups of :class:`_MonomialPass`."""
     vals = sorted(profile.prevalences)
     counts = [profile.prevalences[v] for v in vals]
     return np.asarray(vals, dtype=float), np.asarray(counts, dtype=int)
-
-
-def _log_monomial_sums(lp: np.ndarray, vals: np.ndarray, counts: np.ndarray):
-    """Log monomial symmetric polynomials of a multiset, whole and less one symbol.
-
-    The multiset has ``counts[g]`` symbols of multiplicity ``vals[g]``
-    (ascending). ``lp`` holds rows of log probabilities over the points
-    (1-D: one row). ``full[r]`` logs the sum, over the ways to give c_g
-    distinct points each multiplicity ``vals[g]``, of
-    exp(sum_s mult(s) * lp[r, s]); ``short[r, g]`` has c_g - 1 for c_g. One
-    pass over the points fills a table with one axis of length c_g + 1 per
-    group and the row axis last (see :class:`_MonomialPass`). The rows run
-    in blocks of at most ``_MAX_DP_STATES`` table cells, each block through
-    tables built for it, so memory stays bounded however many rows there
-    are; each row's bits do not depend on its block.
-    """
-    lp = np.atleast_2d(lp)
-    block = _MAX_DP_STATES // _dp_states(counts)
-    parts = [_MonomialPass(vals, counts, rows.shape[0]).run(rows)
-             for rows in (lp[i:i + block] for i in range(0, lp.shape[0], block))]
-    return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
 def _dp_states(counts: np.ndarray) -> int:
@@ -77,8 +56,15 @@ def _dp_states(counts: np.ndarray) -> int:
 
 
 class _MonomialPass:
-    """The tables of :func:`_log_monomial_sums` for a fixed multiset and
-    number of rows, made once and reused by every :meth:`run`.
+    """Log monomial symmetric polynomials of a multiset, whole and less one
+    symbol, at rows of log probabilities over the points, through tables
+    made once for ``rows`` rows.
+
+    The multiset has ``counts[g]`` symbols of multiplicity ``vals[g]``
+    (ascending). At row r, ``full`` logs the sum, over the ways to give c_g
+    distinct points each multiplicity ``vals[g]``, of exp(sum_s mult(s) *
+    lp[r, s]); ``short[r, g]`` has c_g - 1 for c_g. :meth:`run` takes
+    ``rows`` rows, :meth:`full` any number.
 
     A pass costs NumPy calls more than arithmetic on these small tables, so
     everything it touches is made here. The table's row axis is last, so
@@ -89,8 +75,7 @@ class _MonomialPass:
     the last point gathered at the returned cells. A larger table keeps a
     copy of itself for the previous point and one scratch buffer that every
     group reads through a view of its own shape, about three tables in all
-    (one buffer per group would multiply that by up to G). The exact EM
-    makes one pass per run and calls :meth:`run` once per E-step.
+    (one buffer per group would multiply that by up to G).
     """
 
     def __init__(self, vals: np.ndarray, counts: np.ndarray, rows: int):
@@ -132,9 +117,8 @@ class _MonomialPass:
         self.near[spent + 1, spent + 1] = states
 
     def run(self, lp: np.ndarray):
-        """(full, short) of :func:`_log_monomial_sums` for the rows of ``lp``
-        (2-D, one row per table row); both are fresh arrays, not views of
-        the table.
+        """(full, short) for the rows of ``lp`` (2-D, one row per table
+        row); both are fresh arrays, not views of the table.
 
         Point s updates every cell c, group after group, to logaddexp(c,
         c' + vals[g] * lp[:, s]), with c' the previous point's cell c less
@@ -179,11 +163,24 @@ class _MonomialPass:
                 out = out[0]
         return out[0], np.ascontiguousarray(out[1:].T)
 
+    def full(self, lp: np.ndarray) -> np.ndarray:
+        """The whole multiset's sums at any number of rows of ``lp`` (2-D),
+        run this pass's row count at a time, the last block padded with
+        zeros. Each row's bits do not depend on its block."""
+        rows = self.table.shape[-1]
+        padded = np.zeros((-(-len(lp) // rows) * rows, lp.shape[1]))
+        padded[: len(lp)] = lp
+        blocks = [self.run(padded[i : i + rows])[0] for i in range(0, len(padded), rows)]
+        return np.concatenate(blocks)[: len(lp)]
+
 
 @np.errstate(divide="ignore")  # np.log of a zero entry
-def _profile_probabilities(points: np.ndarray, profile: Profile) -> np.ndarray:
-    """Profile probability at every row of a probability matrix, through one
-    call of the dynamic program.
+def _profile_probabilities(
+    points: np.ndarray, profile: Profile, dp: _MonomialPass | None = None
+) -> np.ndarray:
+    """Profile probability at every row of a probability matrix, through
+    ``dp``, a pass for the profile's multiplicity groups, or else one pass
+    of as many rows as ``_MAX_DP_STATES`` cells hold.
 
     A zero entry enters as log 0 = -inf, and ``np.logaddexp(x, -inf) == x``,
     so it gives the same bits as a dropped point. Each value is capped at 1,
@@ -192,16 +189,13 @@ def _profile_probabilities(points: np.ndarray, profile: Profile) -> np.ndarray:
     points = np.atleast_2d(points)
     if not profile.m:
         return np.ones(points.shape[0])
-    full, _ = _log_monomial_sums(np.log(points), *_multiplicity_groups(profile))
-    return _probabilities(full, profile)
-
-
-def _probabilities(full: np.ndarray, profile: Profile) -> np.ndarray:
-    """The capped profile probabilities of the whole multiset's log monomial sums ``full``."""
+    if dp is None:
+        vals, counts = _multiplicity_groups(profile)
+        dp = _MonomialPass(vals, counts, min(len(points), _MAX_DP_STATES // _dp_states(counts)))
     log_coef = math.lgamma(profile.n + 1) - sum(
         phi * math.lgamma(i + 1) for i, phi in profile.prevalences.items()
     )
-    return np.array([min(1.0, math.exp(log_coef + v)) for v in full.tolist()])
+    return np.array([min(1.0, math.exp(log_coef + v)) for v in dp.full(np.log(points)).tolist()])
 
 
 def profile_probability(dist: Distribution, profile: Profile) -> float:
@@ -241,6 +235,7 @@ def profile_probability_bruteforce(dist: Distribution, profile: Profile) -> floa
 
 def enumerate_profiles(n: int) -> list[Profile]:
     """All profiles of sample size n, one per integer partition of n."""
+    n = _integer(n, "sample size")
     if n < 1:
         raise ValueError("sample size must be >= 1")
     if n > _PARTITION_LIMIT:
@@ -285,6 +280,7 @@ def exact_pml_oracle(profile: Profile, k: int) -> tuple[Distribution, float]:
     dynamic program behind :func:`profile_probability`;
     :func:`profile_probability_bruteforce` stays its independent reference.
     """
+    k = _integer(k, "alphabet size")
     if k < 1 or k > _ORACLE_MAX_K or profile.n > _ORACLE_MAX_N:
         raise ValueError(
             f"oracle is desk-scale only (k <= {_ORACLE_MAX_K}, n <= {_ORACLE_MAX_N})"

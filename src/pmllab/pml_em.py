@@ -35,7 +35,6 @@ assigned multiplicity mass.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -46,8 +45,7 @@ import numpy as np
 
 from .core import Distribution, Profile, Sample, _integer, profile_of
 from .distributions import RngSeed, as_seed
-from .likelihood import (_MonomialPass, _dp_states, _multiplicity_groups, _probabilities,
-                         _profile_probabilities)
+from .likelihood import _MonomialPass, _dp_states, _multiplicity_groups, _profile_probabilities
 
 #: Take the E-step exactly up to these sizes, sample beyond them.
 _EXACT_M_LIMIT = 8
@@ -183,9 +181,8 @@ def _empirical_start(mults: np.ndarray, K: int) -> np.ndarray:
 
 def _exact_estep(vals: np.ndarray, counts: np.ndarray, S: int, K: int):
     """The exact E-step for S starts over K points: ``mass`` maps the (S, K)
-    iterate to the expected multiplicity mass per support point, and
-    ``log_full`` any number of rows of log probabilities to the log monomial
-    sums of the whole multiset, which score them, through the same pass.
+    iterate to the expected multiplicity mass per support point through
+    ``dp``, the pass it returns with it.
 
     Point s hosts a symbol of multiplicity v with probability q_s^v times
     the monomial sum of the rest of the multiset over the other points,
@@ -195,8 +192,6 @@ def _exact_estep(vals: np.ndarray, counts: np.ndarray, S: int, K: int):
     last row keeps every point. ``vals`` and ``counts`` are the multiplicity
     groups of the profile. The rows, their -inf diagonal and the program's
     tables are made here, once; each call overwrites every cell it reads.
-    ``log_full`` runs its rows S * (K + 1) at a time, the last block padded
-    with zeros; each row's bits do not depend on its block.
     """
     dp = _MonomialPass(vals, counts, S * (K + 1))
     rows = np.full((S, K + 1, K), -np.inf)
@@ -210,12 +205,7 @@ def _exact_estep(vals: np.ndarray, counts: np.ndarray, S: int, K: int):
         short = short.reshape(S, K + 1, -1)[:, :K]
         return np.exp(vals * lq[..., None] + short - full) @ vals
 
-    def log_full(lp: np.ndarray) -> np.ndarray:
-        blocks = np.zeros((-(-len(lp) // (S * (K + 1))), S * (K + 1), K))
-        blocks.reshape(-1, K)[: len(lp)] = lp
-        return np.concatenate([dp.run(block)[0] for block in blocks])[: len(lp)]
-
-    return mass, log_full
+    return mass, dp
 
 
 @np.errstate(divide="ignore")  # np.log of a uniform draw of exactly 0.0
@@ -357,27 +347,21 @@ def _em_exact(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig):
     """EM with the exact E-step from the tilted uniform start and, when
     K >= 2, the empirical one; the starts advance together, one run of the
     dynamic program's pass per iteration. Returns the iterates of the start
-    whose endpoint is likelier (the first on a tie) and the function that
-    scored the endpoints through the same pass: the profile probability of
-    each row of a matrix of checked distributions."""
+    whose endpoint is likelier (the first on a tie) and that pass, which
+    scored the endpoints."""
     vals, counts = _multiplicity_groups(profile)
     starts = [_tilted_uniform(K)]
     if K >= 2:
         # desk scale is cheap enough to certify both basins by likelihood
         starts.append(_empirical_start(mults, K))
     iterates = [np.stack(starts)]
-    estep, log_full = _exact_estep(vals, counts, *iterates[0].shape)
-
-    @np.errstate(divide="ignore")  # np.log of a zero entry
-    def score(points: np.ndarray) -> np.ndarray:
-        return _probabilities(log_full(np.log(points)), profile)
-
+    estep, dp = _exact_estep(vals, counts, *iterates[0].shape)
     for _ in range(cfg.em_iterations):
         mass = estep(iterates[-1])
         iterates.append(mass / mass.sum(axis=1, keepdims=True))
     ends = np.stack([Distribution(q).as_array() for q in iterates[-1]])
-    best = int(np.argmax(score(ends)))  # the first start on a tie
-    return [q[best] for q in iterates], score
+    best = int(np.argmax(_profile_probabilities(ends, profile, dp)))  # the first start on a tie
+    return [q[best] for q in iterates], dp
 
 
 def _chain_count(K: int, sweeps: int) -> int:
@@ -426,9 +410,8 @@ def _em_sampled(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig):
 
 def _em_run(profile: Profile, K: int, cfg: EmConfig):
     """Check the inputs now and return the EM iterates, the initialization
-    first and the estimate last, with a function that gives the profile
-    probability of each row of a matrix of checked distributions over K
-    points: on the exact path, through the pass of its E-step."""
+    first and the estimate last, with the dynamic program's pass of the
+    exact E-step, or None off the exact path."""
     K = _integer(K, "support size")
     if K < 1:
         raise ValueError("support size must be >= 1")
@@ -436,11 +419,10 @@ def _em_run(profile: Profile, K: int, cfg: EmConfig):
     m = int(mults.size)
     if m > K:
         raise ValueError(f"support size {K} cannot host {m} distinct symbols")
-    score = functools.partial(_profile_probabilities, profile=profile)
     if m == 0 or cfg.em_iterations == 0:
-        return iter([_tilted_uniform(K)]), score
+        return iter([_tilted_uniform(K)]), None
     if m > _EXACT_M_LIMIT or K > _EXACT_K_LIMIT:
-        return _em_sampled(profile, mults, K, cfg), score
+        return _em_sampled(profile, mults, K, cfg), None
     return _em_exact(profile, mults, K, cfg)
 
 
@@ -467,9 +449,10 @@ def em_pml_trace(profile: Profile, K: int, cfg: EmConfig | None = None):
     profile too large for that program raises ``ValueError`` before the EM
     runs."""
     _dp_states(_multiplicity_groups(profile)[1])
-    iterates, score = _em_run(profile, K, cfg or EmConfig())
+    iterates, dp = _em_run(profile, K, cfg or EmConfig())
     iterates = [Distribution(q) for q in iterates]
-    return iterates[-1], score(np.stack([q.as_array() for q in iterates])).tolist()
+    points = np.stack([q.as_array() for q in iterates])
+    return iterates[-1], _profile_probabilities(points, profile, dp).tolist()
 
 
 def _light_em(split: SplitResult, k_hint: int | None, cfg: EmConfig) -> np.ndarray | None:

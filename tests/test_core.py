@@ -16,7 +16,9 @@ from pmllab import (
     draw_sample,
     em_pml,
     empirical_distribution,
+    enumerate_profiles,
     estimate_unsorted_l1,
+    exact_pml_oracle,
     falling_factorial_power_sum,
     lp_distance,
     make,
@@ -304,6 +306,8 @@ _INTEGER_BOUNDARIES = {
         6,
     ),
     "t_pml_test_k": (lambda x: t_pml_test(_SMALL, x, 0.5, make("uniform", 4)), 4),
+    "enumerate_profiles_n": (enumerate_profiles, 4),
+    "exact_pml_oracle_k": (lambda x: exact_pml_oracle(Profile({1: 1, 2: 1}), x), 2),
     **{f"make_{name}": (lambda x, name=name: make(name, x), 6) for name in FAMILIES},
 }
 

@@ -5,7 +5,9 @@ purpose records the new digests in the same commit and says which moved and
 why. NumPy does not promise the same random streams across releases (NEP
 19), so the table is keyed by the NumPy version it was recorded with; under
 another version the tests skip and say so, rather than pass or fail on a
-stream that nobody recorded.
+stream that nobody recorded. Each skip reason ends with the table entry for
+that version, so the skip lines of a run (``pytest -rs``) give the table to
+record.
 """
 
 import hashlib
@@ -96,10 +98,12 @@ _DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(_CALLS))
 def test_output_digest(name):
+    digest = hashlib.sha256(_CALLS[name]()).hexdigest()
     table = _DIGESTS.get(np.__version__)
     if table is None:
-        pytest.skip(f"digests recorded with NumPy {', '.join(sorted(_DIGESTS))}, not {np.__version__}")
-    assert hashlib.sha256(_CALLS[name]()).hexdigest() == table[name]
+        pytest.skip(f"digests recorded with NumPy {', '.join(sorted(_DIGESTS))}, not {np.__version__};"
+                    f' here "{name}": "{digest}",')
+    assert digest == table[name]
 
 
 def test_every_call_has_a_digest():

@@ -18,7 +18,6 @@ from pmllab import (
 from pmllab.likelihood import (
     _MAX_DP_STATES,
     _dp_states,
-    _log_monomial_sums,
     _MonomialPass,
     _multiplicity_groups,
     _profile_probabilities,
@@ -173,7 +172,8 @@ def _reference_instances():
 def _check_pass(lp, mults, one_group_at_a_time):
     """Both entry points of the pass against the per-group loop, byte for
     byte, with every group's sums at once or, under a state limit patched
-    to the table's size, one group at a time."""
+    to the table's size, one group at a time; the whole multiset's sums
+    also through a pass of fewer rows, in blocks whose last one is padded."""
     want = _reference_log_monomial_sums(lp, mults)[1:]
     vals, counts = _groups(mults)
     vals = vals.astype(float)
@@ -185,7 +185,8 @@ def _check_pass(lp, mults, one_group_at_a_time):
         assert (dp.prev is not None) == one_group_at_a_time
         assert _same_bits(dp.run(lp), want)
         assert _same_bits(dp.run(lp), want)  # a second run starts afresh
-        assert _same_bits(_log_monomial_sums(lp, vals, counts), want)
+        assert dp.full(lp).tobytes() == want[0].tobytes()
+        assert _MonomialPass(vals, counts, 1 + len(lp) // 2).full(lp).tobytes() == want[0].tobytes()
 
 
 @st.composite
@@ -213,7 +214,8 @@ class TestLogMonomialSums:
             vals, full, short = _reference_log_monomial_sums(lp, mults)
             got_vals, counts = _multiplicity_groups(Profile.from_multiplicities(mults.tolist()))
             got_vals = got_vals.astype(mults.dtype)
-            got = (got_vals, *_log_monomial_sums(lp, got_vals, counts))
+            rows = np.atleast_2d(lp)
+            got = (got_vals, *_MonomialPass(got_vals, counts, len(rows)).run(rows))
             assert _same_bits(got, (vals, full, short)), (lp.shape, mults)
             assert got_vals.dtype == vals.dtype
             groups_seen.add(counts.size)
@@ -251,17 +253,18 @@ class TestLogMonomialSums:
 
     def test_batched_rows_equal_single_rows(self):
         for lp, mults in _dp_instances():
-            full, short = _log_monomial_sums(lp, *_groups(mults))
-            for r, row in enumerate(lp):
-                assert _same_bits((full[r:r + 1], short[r:r + 1]), _log_monomial_sums(row, *_groups(mults)))
+            full, short = _MonomialPass(*_groups(mults), len(lp)).run(lp)
+            for r in range(len(lp)):
+                want = _MonomialPass(*_groups(mults), 1).run(lp[r:r + 1])
+                assert _same_bits((full[r:r + 1], short[r:r + 1]), want)
 
     def test_minus_inf_point_equals_deleted_point(self):
         for lp, mults in _dp_instances():
             for s in range(lp.shape[1]):
-                cut = lp[0].copy()
-                cut[s] = -np.inf
-                want = _log_monomial_sums(np.delete(lp[0], s), *_groups(mults))
-                assert _same_bits(_log_monomial_sums(cut, *_groups(mults)), want)
+                cut = lp[:1].copy()
+                cut[0, s] = -np.inf
+                want = _MonomialPass(*_groups(mults), 1).run(np.delete(lp[:1], s, axis=1))
+                assert _same_bits(_MonomialPass(*_groups(mults), 1).run(cut), want)
 
     def test_peak_memory_stays_near_the_table(self):
         # 16 groups of one symbol: 2^16 states, a 512 KiB table, far past
@@ -283,8 +286,17 @@ class TestLogMonomialSums:
 
     def test_rows_run_in_blocks_under_the_state_limit(self, monkeypatch):
         # 2^8 states under a 2^12-cell limit: 256 rows run as 16 blocks of
-        # 16, so the peak is one block's tables, not 256 rows' (about 1.8 MiB)
+        # 16 through one pass of 16 rows, so the peak is one block's tables,
+        # not 256 rows' (about 1.8 MiB)
         monkeypatch.setattr("pmllab.likelihood._MAX_DP_STATES", 2**12)
+        made = []
+
+        class Counted(_MonomialPass):
+            def __init__(self, *args):
+                made.append(args[2])
+                super().__init__(*args)
+
+        monkeypatch.setattr("pmllab.likelihood._MonomialPass", Counted)
         prof = Profile.from_multiplicities(range(1, 9))
         rng = np.random.default_rng(61)
         points = rng.random((256, 10)) + 1e-3
@@ -296,6 +308,7 @@ class TestLogMonomialSums:
         finally:
             tracemalloc.stop()
         assert peak < 400 * 1024
+        assert made == [16]
         for r, row in enumerate(points):
             assert got[r:r + 1].tobytes() == _profile_probabilities(row, prof).tobytes()
 
