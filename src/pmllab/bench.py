@@ -82,7 +82,7 @@ def read_pml_file(path) -> Distribution:
 
 def write_sample_file(sample: Sample, path) -> None:
     """Sample file: one 'symbol multiplicity' pair per line, sorted by symbol."""
-    lines = [f"{s} {sample.counts[s]}" for s in sorted(sample.counts)]
+    lines = [f"{s} {c}" for s, c in zip(sample.symbols.tolist(), sample.mults.tolist())]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

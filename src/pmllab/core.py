@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -23,6 +24,11 @@ PROB_TOL = 1e-9
 #: Mass smaller than this is treated as exhausted when walking transport
 #: couplings.
 _MASS_DUST = 1e-15
+
+#: NumPy's multinomial counts, and its array sizes, are signed 64-bit
+#: integers: sample symbols, multiplicities and alphabet sizes stay below
+#: this.
+_INT64_END = 2**63
 
 
 def _integer(x, what: str) -> int:
@@ -99,52 +105,137 @@ class Distribution:
         return self._p
 
 
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """A multiset of draws, stored as symbol -> multiplicity plus total size."""
+class _Counts(Mapping):
+    """A read-only symbol -> multiplicity view of a :class:`Sample`'s two
+    arrays, in ascending symbol order, that gives Python ints."""
 
-    counts: Mapping[int, int]
-    n: int
+    __slots__ = ("_symbols", "_mults")
+
+    def __init__(self, symbols: np.ndarray, mults: np.ndarray):
+        self._symbols = symbols
+        self._mults = mults
+
+    def __getitem__(self, symbol) -> int:
+        syms = self._symbols
+        # an integral float finds its symbol, as it hashes like that int
+        if isinstance(symbol, (float, np.floating)) and float(symbol).is_integer():
+            symbol = int(symbol)
+        if isinstance(symbol, (int, np.integer)) and 0 <= symbol < _INT64_END:
+            i = int(syms.searchsorted(symbol))
+            if i < syms.size and syms[i] == symbol:
+                return int(self._mults[i])
+        raise KeyError(symbol)
+
+    def __iter__(self):
+        return iter(self._symbols.tolist())
+
+    def __len__(self) -> int:
+        return self._symbols.size
+
+    def items(self):
+        return _CountItems(self)
+
+    def __repr__(self):
+        return f"Counts({dict(self.items())!r})"
+
+
+class _CountItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping._symbols.tolist(), self._mapping._mults.tolist())
+
+
+def _below(mults: np.ndarray, bound) -> np.ndarray:
+    """``mults < bound``, exact for any int or float bound: a float bound is
+    compared as its ceiling, not with the multiplicities cast to float64."""
+    if isinstance(bound, float) and math.isfinite(bound):
+        bound = math.ceil(bound)
+    return mults < bound
+
+
+class Sample:
+    """A multiset of draws.
+
+    The distinct symbols, ascending, and their multiplicities live in two
+    read-only int64 arrays, ``symbols`` and ``mults`` (16 bytes per distinct
+    symbol), so each lies in [0, 2**63); the size ``n`` is their exact sum,
+    a Python int that may pass 2**63. ``counts`` views the two arrays as a
+    symbol -> multiplicity mapping in ascending symbol order.
+    """
+
+    __slots__ = ("symbols", "mults", "n")
 
     def __init__(self, counts: Mapping[int, int]):
-        clean: dict[int, int] = {}
+        pairs = []
         for sym, mult in counts.items():
-            m = _integer(mult, "multiplicity")
-            if m < 1:
-                raise ValueError(f"multiplicity of symbol {sym} must be >= 1, got {mult}")
-            clean[_integer(sym, "symbol")] = m
-        if clean and min(clean) < 0:
-            raise ValueError(f"symbols must be >= 0, got {min(clean)}")
-        object.__setattr__(self, "counts", MappingProxyType(clean))
-        object.__setattr__(self, "n", sum(clean.values()))
+            s, m = _integer(sym, "symbol"), _integer(mult, "multiplicity")
+            if not 0 <= s < _INT64_END:
+                raise ValueError(f"symbols must be in [0, 2**63), got {sym}")
+            if not 1 <= m < _INT64_END:
+                raise ValueError(f"multiplicity of symbol {sym} must be in [1, 2**63), got {mult}")
+            pairs.append((s, m))
+        pairs.sort()
+        syms = [s for s, _ in pairs]
+        if len(set(syms)) < len(syms):
+            raise ValueError("a symbol appears twice")
+        mults = [m for _, m in pairs]
+        self._set(np.array(syms, dtype=np.int64), np.array(mults, dtype=np.int64), sum(mults))
+
+    def _set(self, symbols: np.ndarray, mults: np.ndarray, n: int) -> None:
+        symbols.flags.writeable = False
+        mults.flags.writeable = False
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "mults", mults)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Sample is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Sample is immutable; cannot delete {name!r}")
 
     def __eq__(self, other):
         if not isinstance(other, Sample):
             return NotImplemented
-        return dict(self.counts) == dict(other.counts)
+        return bool(np.array_equal(self.symbols, other.symbols) and np.array_equal(self.mults, other.mults))
+
+    __hash__ = None
+
+    def __reduce__(self):
+        # pickle and copy rebuild through _unchecked, as __setattr__ refuses
+        return Sample._unchecked, (self.symbols, self.mults, self.n)
+
+    def __repr__(self):
+        return f"Sample({dict(zip(self.symbols.tolist(), self.mults.tolist()))!r})"
+
+    @property
+    def counts(self) -> Mapping[int, int]:
+        return _Counts(self.symbols, self.mults)
 
     @property
     def distinct(self) -> int:
-        return len(self.counts)
+        return self.symbols.size
 
     def multiplicity(self, symbol: int) -> int:
         return self.counts.get(symbol, 0)
 
     def rarer_than(self, bound: float) -> "Sample":
-        """The symbols seen fewer than ``bound`` times, in this sample's order.
+        """The symbols seen fewer than ``bound`` times.
 
         Their counts are valid already, so they are not checked again.
         """
-        kept = {s: c for s, c in self.counts.items() if c < bound}
-        return Sample._unchecked(kept, sum(kept.values()))
+        keep = _below(self.mults, bound)
+        mults = self.mults[keep]
+        # below 2**63 in all, no partial sum can wrap around in int64
+        n = int(mults.sum()) if self.n < _INT64_END else sum(mults.tolist())
+        return Sample._unchecked(self.symbols[keep], mults, n)
 
     @classmethod
-    def _unchecked(cls, counts: dict[int, int], n: int) -> "Sample":
-        """A sample over counts already known to be valid (int symbols >= 0,
-        int multiplicities >= 1, summing to n), built without checking them."""
+    def _unchecked(cls, symbols: np.ndarray, mults: np.ndarray, n: int) -> "Sample":
+        """A sample over int64 arrays already known to be valid (ascending
+        distinct symbols >= 0, multiplicities >= 1 summing to n), built
+        without checking them; the arrays are made read-only."""
         sample = object.__new__(cls)
-        object.__setattr__(sample, "counts", MappingProxyType(counts))
-        object.__setattr__(sample, "n", n)
+        sample._set(symbols, mults, n)
         return sample
 
 
@@ -217,8 +308,9 @@ class Profile:
 
 
 def profile_of(sample: Sample) -> Profile:
-    """Prevalence vector of a sample: phi_i = #symbols seen exactly i times."""
-    return Profile(Counter(sample.counts.values()), sample.n)
+    """Prevalence vector of a sample: phi_i = #symbols seen exactly i times,
+    its multiplicities in the order they first occur over ascending symbols."""
+    return Profile(Counter(sample.mults.tolist()), sample.n)
 
 
 def lp_distance(p: Distribution, q: Distribution, order: int) -> float:

@@ -70,7 +70,7 @@ def denoise(pml_vector: Distribution, sample: Sample) -> dict[int, float]:
     ln(n)^2) or the binomial-likelihood weighted median of the pool. Each
     candidate is held once, its copy count a factor of its weight, so the
     pool grows with ln(n)^2 rather than with n. The output is one value per
-    observed symbol, not yet normalized.
+    observed symbol, in ascending symbol order, not yet normalized.
     """
     n = sample.n
     if n < 2:
@@ -103,18 +103,19 @@ def denoise(pml_vector: Distribution, sample: Sample) -> dict[int, float]:
     order = np.argsort(arr, kind="stable")
     sorted_pool = arr[order]
 
-    value_for: dict[int, float] = {}
-    for mult in sorted(set(sample.counts.values())):
+    mults, which = np.unique(sample.mults, return_inverse=True)
+    value_for: list[float] = []
+    for mult in mults.tolist():
         if mult >= cutoff:
-            value_for[mult] = mult / n
+            value_for.append(mult / n)
             continue
         # the binomial coefficient is constant across pool entries and
         # cancels out of the weighted median; the removal leaves a pool
         # entry in (0, 1), so the largest weight is finite
         logw = mult * log_v + (n - mult) * log_1mv
         weights = np.exp(logw - logw.max()) * copies
-        value_for[mult] = _sorted_weighted_median(sorted_pool, order, weights)
-    return {sym: value_for[mult] for sym, mult in sample.counts.items()}
+        value_for.append(_sorted_weighted_median(sorted_pool, order, weights))
+    return dict(zip(sample.symbols.tolist(), np.array(value_for)[which].tolist()))
 
 
 def estimate_unsorted_l1(
@@ -135,20 +136,20 @@ def estimate_unsorted_l1(
         raise ValueError("need at least two draws")
     if alphabet is not None:
         alphabet = _integer(alphabet, "alphabet")
-        if max(sample.counts) >= alphabet:
+        if int(sample.symbols[-1]) >= alphabet:
             raise ValueError("alphabet smaller than the observed support")
     pml = approximate_pml(sample, k_hint=alphabet, cfg=cfg)
-    assigned = denoise(pml, sample)
-    unseen = 0 if alphabet is None else alphabet - len(assigned)
+    # one value per symbol of sample.symbols, in that (ascending) order
+    assigned = np.fromiter(denoise(pml, sample).values(), float, sample.distinct)
+    total = math.fsum(assigned.tolist())
+    unseen = 0 if alphabet is None else alphabet - sample.distinct
     if not unseen:
-        # with every symbol of range(alphabet) seen, sorted(assigned) is that range
-        total = math.fsum(assigned.values())
-        return Distribution([assigned[s] / total for s in sorted(assigned)])
+        # with every symbol of range(alphabet) seen, sample.symbols is that range
+        return Distribution(assigned / total)
     miss = missing_mass_estimate(sample)
-    share = miss / unseen
-    seen_total = math.fsum(assigned.values())
-    scale = (1.0 - miss) / seen_total
-    return Distribution([assigned[s] * scale if s in assigned else share for s in range(alphabet)])
+    out = np.full(alphabet, miss / unseen)
+    out[sample.symbols] = assigned * ((1.0 - miss) / total)
+    return Distribution(out)
 
 
 def default_tpml_thresholds(n: int) -> tuple[float, float, float]:

@@ -13,13 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution, Sample, _integer
+from .core import _INT64_END, Distribution, Sample, _integer
 
 _UINT64 = 2**64
 _GOLDEN = 0x9E3779B97F4A7C15
-#: NumPy's multinomial counts, and its array sizes, are signed 64-bit
-#: integers: sample and alphabet sizes stay below this.
-_INT64_END = 2**63
 
 
 def _splitmix64(x: int) -> int:
@@ -62,10 +59,12 @@ def as_seed(seed: "RngSeed | int") -> RngSeed:
 
 
 def draw_sample(dist: Distribution, n: int, seed: "RngSeed | int") -> Sample:
-    """n i.i.d. draws from dist, returned as a multiplicity map.
+    """n i.i.d. draws from dist, returned as the symbols seen and their
+    multiplicities.
 
     The same seed always yields the same sample. Time and memory are O(k),
-    whatever n is, up to ``n < 2**63``.
+    whatever n is, up to ``n < 2**63``; the sample keeps 16 bytes per
+    distinct symbol.
     """
     n = _integer(n, "sample size")
     if not 1 <= n < _INT64_END:
@@ -76,7 +75,7 @@ def draw_sample(dist: Distribution, n: int, seed: "RngSeed | int") -> Sample:
     p = p[: np.flatnonzero(p)[-1] + 1]
     counts = as_seed(seed).generator().multinomial(n, p)
     seen = np.flatnonzero(counts)
-    return Sample._unchecked(dict(zip(seen.tolist(), counts[seen].tolist())), n)
+    return Sample._unchecked(seen, counts[seen], n)
 
 
 def _normalized(weights) -> Distribution:

@@ -43,7 +43,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import Distribution, Profile, Sample, _integer, profile_of
+from .core import Distribution, Profile, Sample, _below, _integer, profile_of
 from .distributions import RngSeed, as_seed
 from .likelihood import _MonomialPass, _dp_states, _multiplicity_groups, _profile_probabilities
 
@@ -64,6 +64,10 @@ _TAU_MULTIPLIER = 1.5
 #: Cap on the extrapolated support size; it never cuts below the distinct count.
 _MAX_SUPPORT = 10_000
 
+#: Cap on the sampled E-step's sweep budget: it draws one pairing offset per
+#: sweep at once, and past this many the offsets alone take over 128 MiB.
+_MAX_SWEEPS = 2**24
+
 
 @dataclass(frozen=True)
 class EmConfig:
@@ -82,8 +86,8 @@ class EmConfig:
         )
         if self.em_iterations < 0:
             raise ValueError("em_iterations must be >= 0")
-        if self.mcmc_sweeps_per_estep < 1:
-            raise ValueError("mcmc_sweeps_per_estep must be >= 1")
+        if not 1 <= self.mcmc_sweeps_per_estep <= _MAX_SWEEPS:
+            raise ValueError(f"mcmc_sweeps_per_estep must be in [1, 2**24], got {self.mcmc_sweeps_per_estep}")
 
 
 def split_threshold(n: int) -> float:
@@ -109,8 +113,11 @@ def _split(sample: Sample, light_below: float, heavy_from: float) -> SplitResult
     """The symbols seen fewer than ``light_below`` times, and the empirical
     frequencies, in symbol order, of those seen at least ``heavy_from``
     times; a band in between belongs to neither."""
-    heavy = {s: c / sample.n for s, c in sorted(sample.counts.items()) if c >= heavy_from}
-    return SplitResult(heavy, sample.rarer_than(light_below), math.fsum(heavy.values()))
+    heavy = ~_below(sample.mults, heavy_from)
+    n = sample.n
+    # int / int division: n can pass 2**53, where a float64 n rounds
+    freqs = {s: c / n for s, c in zip(sample.symbols[heavy].tolist(), sample.mults[heavy].tolist())}
+    return SplitResult(freqs, sample.rarer_than(light_below), math.fsum(freqs.values()))
 
 
 def split_large(sample: Sample) -> SplitResult:
@@ -237,8 +244,9 @@ def _mcmc_estep_mass(
     sweep if that is larger): the generator fills a row-major array in
     order and the sweeps draw nothing else, so the blocks give the bits of
     one (sweeps, K // 2 * C) draw while holding 8 MiB of it at most, or
-    one sweep's worth when that is more. No
-    point sits out a whole E-step (with odd K, one B point rests per
+    one sweep's worth when that is more. The offsets become Python ints a
+    block at a time too, so past their 8 bytes per sweep they hold one
+    block's list. No point sits out a whole E-step (with odd K, one B point rests per
     sweep), and over the sweeps every A x B pair can be proposed; those
     transpositions reach every arrangement of the contents.
 
@@ -286,33 +294,35 @@ def _mcmc_estep_mass(
     step = np.empty(hc)
     gain = np.empty(hc)
     ok = np.empty(hc, dtype=bool)
-    for t, r in enumerate((at * C).tolist()):
-        i = t % rows
-        if i == 0:  # the next block of uniforms; the last may be shorter
-            block = logu[: steps - t]
-            gen.random(out=block)
-            np.log(block, out=block)
-        e = r + hc
-        zb = w[hc + r : hc + e]
-        # Accepted exchanges are applied as a blend without branches, which
-        # beats np.where on random masks.
-        np.subtract(zb, za, out=step)
-        np.subtract(la, lb_twice[r:e], out=gain)
-        gain *= step
-        np.less(logu[i], gain, out=ok)
-        step *= ok
-        za += step
-        zb -= step
-        # B and its copy agree again over the window alone: when the window
-        # ran into the copy, that part goes back to B and the rest forward
-        wrap = e - bc
-        if wrap > 0:
-            w[hc : hc + wrap] = w[kc : kc + wrap]
-            w[kc + r :] = w[hc + r : kc]
-        else:
-            w[kc + r : kc + e] = zb
-        if t >= burn:
-            acc += w[:kc]
+    for t0 in range(0, steps, rows):
+        # the next block of uniforms, the last maybe shorter, and its sweeps'
+        # offsets as Python ints, a block at a time
+        block = logu[: steps - t0]
+        gen.random(out=block)
+        np.log(block, out=block)
+        for t, (u, r) in enumerate(zip(block, (at[t0 : t0 + rows] * C).tolist()), t0):
+            e = r + hc
+            zb = w[hc + r : hc + e]
+            # Accepted exchanges are applied as a blend without branches,
+            # which beats np.where on random masks.
+            np.subtract(zb, za, out=step)
+            np.subtract(la, lb_twice[r:e], out=gain)
+            gain *= step
+            np.less(u, gain, out=ok)
+            step *= ok
+            za += step
+            zb -= step
+            # B and its copy agree again over the window alone: when the
+            # window ran into the copy, that part goes back to B and the
+            # rest forward
+            wrap = e - bc
+            if wrap > 0:
+                w[hc : hc + wrap] = w[kc : kc + wrap]
+                w[kc + r :] = w[hc + r : kc]
+            else:
+                w[kc + r : kc + e] = zb
+            if t >= burn:
+                acc += w[:kc]
     inv = np.empty(K, dtype=np.intp)
     inv[order] = np.arange(K)
     # every index is in range; "clip" spares take the buffer that "raise" needs

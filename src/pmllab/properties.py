@@ -76,14 +76,16 @@ def empirical_distribution(sample: Sample, k: int | None = None) -> Distribution
     """Relative frequencies; zeros appended for unseen symbols when k is given."""
     if sample.n < 1:
         raise ValueError("need a non-empty sample")
+    # int / int division: n can pass 2**53, where a float64 n rounds
+    freqs = [c / sample.n for c in sample.mults.tolist()]
     if k is None:
-        return Distribution([sample.counts[s] / sample.n for s in sorted(sample.counts)])
+        return Distribution(freqs)
     k = _integer(k, "alphabet size")
-    if max(sample.counts) >= k:
-        raise ValueError(f"alphabet size {k} does not cover symbol {max(sample.counts)}")
-    vec = [0.0] * k
-    for s, c in sample.counts.items():
-        vec[s] = c / sample.n
+    top = int(sample.symbols[-1])
+    if top >= k:
+        raise ValueError(f"alphabet size {k} does not cover symbol {top}")
+    vec = np.zeros(k)
+    vec[sample.symbols] = freqs
     return Distribution(vec)
 
 
@@ -124,7 +126,7 @@ def falling_factorial_power_sum(sample: Sample, alpha: int) -> float:
     if sample.n < alpha:
         raise ValueError(f"need at least alpha={alpha} draws, have {sample.n}")
     denom = math.perm(sample.n, alpha)
-    num = sum(math.perm(mult, alpha) for mult in sample.counts.values() if mult >= alpha)
+    num = sum(math.perm(mult, alpha) for mult in sample.mults[sample.mults >= alpha].tolist())
     return num / denom
 
 

@@ -32,7 +32,7 @@ def t_pml_test(sample: Sample, k: int, epsilon: float, pml: Distribution) -> int
     if k == 1:
         return 0
     n = sample.n
-    top = max(sample.counts.values(), default=0)
+    top = int(sample.mults.max()) if sample.distinct else 0
     if top >= 3.0 * max(1.0, n / k) * math.log(k):
         return 1
     padded = np.zeros(k)

@@ -4,6 +4,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -177,6 +178,9 @@ class TestConfig:
             ExperimentConfig(**{**base, "em_iterations": -1})
         with pytest.raises(ValueError, match="mcmc_sweeps"):
             ExperimentConfig(**{**base, "mcmc_sweeps": 0})
+        with pytest.raises(ValueError, match="2\\*\\*24"):
+            parse_config("task = entropy\ndistributions = uniform\nk = 10\nn_grid = 100\n"
+                         f"mcmc_sweeps = {2**24 + 1}\n")
         with pytest.raises(ValueError):
             ExperimentConfig(task="renyi", distributions=("uniform",), k=10, n_grid=(100,))
         with pytest.raises(ValueError):
@@ -558,6 +562,51 @@ class TestCli:
         assert main(["estimate", "--sample", str(out), "--property", "renyi",
                      "--alpha", "nan"]) == 1
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["9223372036854775808 1\n", "0 9223372036854775808\n"])
+    def test_sample_file_past_int64_is_invalid_input(self, tmp_path, capsys, text):
+        path = tmp_path / "s.txt"
+        path.write_text("3 2\n" + text)
+        assert main(["estimate", "--sample", str(path), "--property", "entropy"]) == 1
+        assert "2**63" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("estimator", ["empirical", "pml"])
+    def test_sample_file_order_does_not_change_the_estimate(self, tmp_path, capsys, estimator):
+        # A Sample stores its symbols ascending, so a file listing them in
+        # another order gives the same prevalence order and the same bits.
+        counts = {s: 1 + (7 * s) % 5 for s in range(30)}
+        ordered, shuffled = tmp_path / "ordered.txt", tmp_path / "shuffled.txt"
+        ordered.write_text("".join(f"{s} {c}\n" for s, c in counts.items()))
+        shuffled.write_text("".join(f"{s} {counts[s]}\n" for s in [*range(29, -1, -2), *range(0, 30, 2)]))
+        values = []
+        for path in (ordered, shuffled):
+            assert main(["estimate", "--sample", str(path), "--property", "entropy",
+                         "--estimator", estimator, "--em-iters", "3"]) == 0
+            values.append(capsys.readouterr().out)
+        assert values[0] == values[1]
+        assert read_sample_file(shuffled) == read_sample_file(ordered)
+
+    @pytest.mark.parametrize("sweeps", [2**40, 2**63 - 1])
+    def test_sweep_budget_past_two_to_the_24_is_invalid_input(self, tmp_path, sweeps):
+        # Twelve symbols take the sampled E-step, whose offsets for that many
+        # sweeps would take 8 TiB or more. The child caps its own address
+        # space at 1 GiB, so that an attempt to allocate them fails in that
+        # process alone.
+        path = tmp_path / "s.txt"
+        write_sample_file(Sample({s: 1 + s % 3 for s in range(12)}), path)
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+                  "from pmllab.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        argv = ["estimate", "--sample", str(path), "--property", "entropy", "--estimator", "pml",
+                "--em-iters", "1", "--sweeps", str(sweeps)]
+        env = {**bench._worker_env(), "OPENBLAS_NUM_THREADS": "1"}
+        start = time.monotonic()
+        run = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                             env=env, timeout=60)
+        assert run.returncode == 1, run.stderr
+        assert "2**24" in run.stderr
+        assert time.monotonic() - start < 20
 
     def test_sample_size_past_int64_is_invalid_input(self, tmp_path, capsys):
         out = tmp_path / "s.txt"

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import numpy as np
@@ -132,6 +134,50 @@ class TestSampleAndProfile:
             Sample({0: 2.7})
         with pytest.raises(ValueError):
             Sample({1.5: 2})
+
+    def test_sample_refuses_values_past_int64(self):
+        # symbols and multiplicities are int64 entries
+        for counts in ({2**63: 1}, {0: 2**63}, {1: 2, 2**64: 1}, {3: 2**70}):
+            with pytest.raises(ValueError):
+                Sample(counts)
+        assert Sample({2**63 - 1: 2**63 - 1}).n == 2**63 - 1
+
+    def test_sample_size_is_exact_past_int64(self):
+        sample = Sample({0: 2**62, 1: 2**62})
+        assert sample.n == 2**63
+        assert type(sample.n) is int
+        assert sample.rarer_than(2**62 + 1).n == 2**63
+        assert sample.rarer_than(float(2**62)).n == 0
+        assert Sample({0: 2**63 - 1, 5: 2**63 - 1, 9: 1}).rarer_than(2).n == 1
+        # compared exactly, not in float64, where 2**54 + 3 rounds to 2**54 + 4
+        assert Sample({0: 2**54 + 3}).rarer_than(float(2**54 + 4)).n == 2**54 + 3
+
+    def test_sample_storage(self):
+        sample = Sample({7: 1, 0: 3, 2: 5})
+        for arr in (sample.symbols, sample.mults):
+            assert arr.dtype == np.int64
+            assert not arr.flags.writeable
+        assert sample.symbols.tolist() == [0, 2, 7]
+        assert sample.mults.tolist() == [3, 5, 1]
+        # the view walks the arrays in ascending symbol order, as Python ints
+        assert list(sample.counts.items()) == [(0, 3), (2, 5), (7, 1)]
+        assert all(type(v) is int for pair in sample.counts.items() for v in pair)
+        assert type(sample.counts[2]) is int
+        assert sample.counts.get(np.int64(7)) == 1
+        # an integral float finds its symbol, as a dict key would
+        assert sample.counts[7.0] == 1
+        assert sample.multiplicity(np.float64(2.0)) == 5
+        assert sample.multiplicity(2.5) == 0
+        for absent in (1, -1, 2**63, 2**80, "7", 2.5, 1.0, -0.5, 2.0**63, math.inf, math.nan):
+            assert absent not in sample.counts
+        with pytest.raises(TypeError):
+            sample.counts[1] = 4
+        with pytest.raises(AttributeError):
+            sample.n = 5
+        assert repr(sample) == "Sample({0: 3, 2: 5, 7: 1})"
+        for copied in (pickle.loads(pickle.dumps(sample)), copy.deepcopy(sample), copy.copy(sample)):
+            assert copied == sample
+            assert not copied.mults.flags.writeable
 
     def test_profile_rejects_fractional_prevalence(self):
         with pytest.raises(ValueError):

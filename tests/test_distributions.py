@@ -132,6 +132,19 @@ class TestDrawSample:
         # one length-n array of draws would be 80 MB
         assert peak < 4 * 2**20
 
+    def test_sample_holds_two_int64_per_distinct_symbol(self):
+        # the symbols and their multiplicities, 8 bytes each, where a dict
+        # of them took about 77 bytes per symbol
+        d = make("uniform", 10**6)
+        tracemalloc.start()
+        try:
+            sample = draw_sample(d, 10**7, RngSeed(11))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sample.distinct > 999_000
+        assert held <= 24 * sample.distinct
+
     def test_large_alphabet(self):
         n = 10**6
         sample = draw_sample(make("zipf", 200_000), n, RngSeed(4))

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+from collections import Counter
 import subprocess
 import sys
 import tempfile
@@ -20,6 +21,7 @@ from pmllab import (
     Sample,
     approximate_pml,
     em_pml_trace,
+    empirical_distribution,
     estimate_support,
     plug_in,
     profile_of,
@@ -102,6 +104,50 @@ def test_rarer_than_is_the_checked_sub_sample(counts, bound):
     assert got == want
     assert list(got.counts.items()) == list(want.counts.items())
     assert got.n == want.n
+
+
+# Count dicts for the storage model: small symbols and counts, and values
+# across the whole int64 range, whose total can pass 2**63.
+_wide_counts = st.dictionaries(
+    st.one_of(st.integers(0, 40), st.integers(0, 2**63 - 1)),
+    st.one_of(st.integers(1, 8), st.integers(1, 2**63 - 1)),
+    max_size=12,
+)
+
+
+@_examples
+@given(counts=_wide_counts, absent=st.one_of(st.integers(-2, 50), st.integers(2**62, 2**65)),
+       bound=st.one_of(st.integers(0, 10), st.floats(), st.integers(-2, 2**65)))
+def test_sample_arrays_match_a_dict_model(counts, absent, bound):
+    # a Sample keeps two int64 arrays; each view of it must read as the
+    # symbol -> multiplicity dict it was built from, walked in ascending
+    # symbol order
+    sample = Sample(counts)
+    ordered = {s: counts[s] for s in sorted(counts)}
+    assert dict(sample.counts) == counts
+    assert list(sample.counts.items()) == list(ordered.items())
+    assert sample.n == sum(counts.values())
+    assert sample.distinct == len(counts)
+    for sym, mult in counts.items():
+        assert sample.multiplicity(sym) == mult
+    assert sample.multiplicity(absent) == counts.get(absent, 0)
+    kept = {s: c for s, c in ordered.items() if c < bound}
+    rare = sample.rarer_than(bound)
+    assert list(rare.counts.items()) == list(kept.items())
+    assert rare.n == sum(kept.values())
+    # the prevalences in the order a Counter gives over ascending symbols:
+    # estimate_support and the profile likelihood sum floats in that order
+    assert list(profile_of(sample).prevalences.items()) == list(Counter(ordered.values()).items())
+    if counts:
+        want = Distribution([c / sample.n for c in ordered.values()])
+        assert empirical_distribution(sample).as_array().tobytes() == want.as_array().tobytes()
+        top = max(counts)
+        if top < 100:
+            vec = [0.0] * (top + 3)
+            for s, c in counts.items():
+                vec[s] = c / sample.n
+            got = empirical_distribution(sample, top + 3).as_array().tobytes()
+            assert got == Distribution(vec).as_array().tobytes()
 
 
 @_examples

@@ -149,6 +149,10 @@ class TestEmConfig:
             EmConfig(em_iterations=-1)
         with pytest.raises(ValueError):
             EmConfig(mcmc_sweeps_per_estep=0)
+        # the sampled E-step draws one offset per sweep at once
+        assert EmConfig(mcmc_sweeps_per_estep=2**24).mcmc_sweeps_per_estep == 2**24
+        with pytest.raises(ValueError, match="2\\*\\*24"):
+            EmConfig(mcmc_sweeps_per_estep=2**24 + 1)
 
     def test_int_seed_coerced(self):
         assert EmConfig(seed=5).seed == RngSeed(5)
