@@ -169,6 +169,9 @@ class ExperimentConfig:
             raise ValueError("renyi task needs alpha")
         if self.task == "coverage" and self.coverage_m is None:
             raise ValueError("coverage task needs coverage_m")
+        # t_pml_test's range, checked here rather than after a trial's PML
+        if self.epsilon is not None and not 0.0 < self.epsilon < 2.0:
+            raise ValueError(f"epsilon must lie in (0, 2), got {self.epsilon}")
         if self.task == "uniformity":
             if self.epsilon is None:
                 raise ValueError("uniformity task needs epsilon")

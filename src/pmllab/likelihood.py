@@ -6,8 +6,9 @@ one pass (:class:`_MonomialPass`) over a fixed number of rows of
 probabilities. The pass runs any number of rows in blocks of that many,
 which bounds the tables' memory: the likelihood trace of the sampled EM and
 the oracle's grid each score all their rows through one pass, and the exact
-EM runs one pass per run, for every E-step and again to score its endpoints
-and a trace's iterates. Its tables are small, so a pass costs NumPy calls
+EM, where its placements pass ``pml_em._PLACEMENT_LIMIT``, runs one pass per
+run, for every E-step and again to score its endpoints and a trace's
+iterates. Its tables are small, so a pass costs NumPy calls
 more than arithmetic. The table keeps the row axis last, so every call runs
 its inner loop over contiguous rows, and the table, its views and buffers
 are made once per pass. While a point's sums over all G groups take at most

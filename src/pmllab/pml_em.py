@@ -11,11 +11,13 @@ renormalizes; TPML drops the band between its two thresholds and pads.
 
 The EM treats the injective assignment of observed distinct symbols to
 output support points as the latent variable. The E-step is exact on small
-instances (the log-space dynamic program of the profile likelihood, over
-K + 1 rows per start: each support point left out, then none) and
-Metropolis-sampled at scale. The exact path runs two starts, and they
-advance together through one pass of the program, run once per EM
-iteration and again to score their endpoints and a trace's iterates.
+instances and Metropolis-sampled at scale. The exact path runs two starts,
+which advance together. Up to _PLACEMENT_LIMIT distinct placements of the
+multiset on the points, its E-step is one weighted sum over them, which
+also scores the endpoints; above it, the log-space dynamic program of the
+profile likelihood, over K + 1 rows per start (each support point left
+out, then none), in one pass run once per EM iteration and again to score
+the endpoints and a trace's iterates.
 Symbols of equal multiplicity are exchangeable, so the sampled E-step runs
 its chains on the multiplicity each support point holds: one block of
 pairwise content exchanges per sweep covers both symbol swaps and moves to
@@ -35,6 +37,7 @@ assigned multiplicity mass.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -50,6 +53,13 @@ from .likelihood import _MonomialPass, _dp_states, _multiplicity_groups, _profil
 #: Take the E-step exactly up to these sizes, sample beyond them.
 _EXACT_M_LIMIT = 8
 _EXACT_K_LIMIT = 10
+
+#: An exact EM run over at most this many distinct placements of the
+#: multiset takes its E-step as a sum over them, and through the dynamic
+#: program above it. Timed as whole em_pml calls, the placements' build
+#: included, the sum won on every profile measured at 5,040 placements and
+#: lost on some from 7,560 on (BENCH_placement_estep.json).
+_PLACEMENT_LIMIT = 5040
 
 #: Relative tilt of the starting point. An exactly uniform start is a fixed
 #: point of the update on symmetric profiles and never escapes, so the
@@ -210,9 +220,64 @@ def _exact_estep(vals: np.ndarray, counts: np.ndarray, S: int, K: int):
         full, short = dp.run(rows.reshape(S * (K + 1), K))
         full = full[K :: K + 1, None, None]
         short = short.reshape(S, K + 1, -1)[:, :K]
-        return np.exp(vals * lq[..., None] + short - full) @ vals
+        # einsum, not @: NumPy's own loop, where BLAS would pick its kernel,
+        # and with it the bits, by the CPU
+        return np.einsum("skg,g->sk", np.exp(vals * lq[..., None] + short - full), vals)
 
     return mass, dp
+
+
+def _placement_count(counts: np.ndarray, K: int) -> int:
+    """The distinct placements of the multiset on K points, K! / ((K - m)!
+    prod_g c_g!), for ``counts[g]`` symbols in group g and m in all."""
+    m = int(counts.sum())
+    return math.factorial(K) // (math.factorial(K - m) * math.prod(math.factorial(c) for c in counts.tolist()))
+
+
+def _placements(vals: np.ndarray, counts: np.ndarray, K: int) -> np.ndarray:
+    """The (N, K) matrix of the distinct placements of the multiset on K
+    points: each row is the multiplicities padded with K - m zeros, in one
+    of its N distinct orders. Group g goes, in each row so far, on every
+    choice of ``counts[g]`` of the points that row leaves empty."""
+    rows = np.zeros((1, K))
+    for v, c in zip(vals.tolist(), counts.tolist()):
+        empty = np.nonzero(rows == 0)[1].reshape(len(rows), -1)  # every multiplicity is >= 1
+        picks = np.array(list(itertools.combinations(range(empty.shape[1]), c)), dtype=np.intp)
+        chosen = empty[:, picks].reshape(-1, c)
+        rows = np.repeat(rows, len(picks), axis=0)
+        rows[np.arange(len(rows))[:, None], chosen] = v
+    return rows
+
+
+def _placement_estep(vals: np.ndarray, counts: np.ndarray, K: int):
+    """The exact E-step as a weighted sum over the N placements of the
+    multiset, for any number of starts: ``mass`` maps an (S, K) iterate to
+    the expected multiplicity mass per point, as the dynamic program's
+    E-step does, and ``loglik`` gives each row's log monomial sum, the log
+    profile probability less a constant.
+
+    Placement a has weight prod_s q_s^a_s, so with lw = log q . A^T, w =
+    exp(lw - max lw) and the mass is w . A / sum(w). The matrix is made
+    here, once, as (K, N), so both products run their inner loop over
+    contiguous placements; they are einsums, NumPy's own loops, because
+    BLAS picks its kernel, and with it the bits, by the CPU.
+    """
+    placed = np.ascontiguousarray(_placements(vals, counts, K).T)
+
+    def logw(q: np.ndarray) -> np.ndarray:
+        return np.einsum("sk,kn->sn", np.log(np.maximum(q, _LOG_FLOOR)), placed)
+
+    def mass(q: np.ndarray) -> np.ndarray:
+        lw = logw(q)
+        w = np.exp(lw - lw.max(axis=1, keepdims=True))
+        return np.einsum("sn,kn->sk", w, placed) / w.sum(axis=1, keepdims=True)
+
+    def loglik(q: np.ndarray) -> np.ndarray:
+        lw = logw(q)
+        top = lw.max(axis=1, keepdims=True)
+        return (top + np.log(np.exp(lw - top).sum(axis=1, keepdims=True)))[:, 0]
+
+    return mass, loglik
 
 
 @np.errstate(divide="ignore")  # np.log of a uniform draw of exactly 0.0
@@ -355,22 +420,32 @@ _UNIFORM_BLOCK_ENTRIES = 2**20
 
 def _em_exact(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig):
     """EM with the exact E-step from the tilted uniform start and, when
-    K >= 2, the empirical one; the starts advance together, one run of the
-    dynamic program's pass per iteration. Returns the iterates of the start
-    whose endpoint is likelier (the first on a tie) and that pass, which
-    scored the endpoints."""
+    K >= 2, the empirical one; the starts advance together, one E-step for
+    both per iteration. Up to _PLACEMENT_LIMIT placements the E-step is a
+    sum over them, which also scores the endpoints; above it, one run of the
+    dynamic program's pass, which scores them too. Returns the iterates of
+    the start whose endpoint is likelier (the first on a tie) and that pass,
+    or None on placements."""
     vals, counts = _multiplicity_groups(profile)
     starts = [_tilted_uniform(K)]
     if K >= 2:
         # desk scale is cheap enough to certify both basins by likelihood
         starts.append(_empirical_start(mults, K))
     iterates = [np.stack(starts)]
-    estep, dp = _exact_estep(vals, counts, *iterates[0].shape)
+    if _placement_count(counts, K) <= _PLACEMENT_LIMIT:
+        estep, score = _placement_estep(vals, counts, K)
+        dp = None
+    else:
+        estep, dp = _exact_estep(vals, counts, *iterates[0].shape)
+
+        def score(ends: np.ndarray) -> np.ndarray:
+            return _profile_probabilities(ends, profile, dp)
+
     for _ in range(cfg.em_iterations):
         mass = estep(iterates[-1])
         iterates.append(mass / mass.sum(axis=1, keepdims=True))
     ends = np.stack([Distribution(q).as_array() for q in iterates[-1]])
-    best = int(np.argmax(_profile_probabilities(ends, profile, dp)))  # the first start on a tie
+    best = int(np.argmax(score(ends)))  # the first start on a tie
     return [q[best] for q in iterates], dp
 
 
@@ -421,7 +496,7 @@ def _em_sampled(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig):
 def _em_run(profile: Profile, K: int, cfg: EmConfig):
     """Check the inputs now and return the EM iterates, the initialization
     first and the estimate last, with the dynamic program's pass of the
-    exact E-step, or None off the exact path."""
+    exact E-step, or None where no E-step ran on that program."""
     K = _integer(K, "support size")
     if K < 1:
         raise ValueError("support size must be >= 1")
@@ -455,9 +530,9 @@ def em_pml(profile: Profile, K: int, cfg: EmConfig | None = None) -> Distributio
 def em_pml_trace(profile: Profile, K: int, cfg: EmConfig | None = None):
     """Like :func:`em_pml`, but also returns the profile probability of every
     iterate (initialization included), scored after the EM by one pass of
-    the dynamic program: on the exact path, the pass its E-step ran. A
-    profile too large for that program raises ``ValueError`` before the EM
-    runs."""
+    the dynamic program: on the exact path above the placement limit, the
+    pass its E-step ran. A profile too large for that program raises
+    ``ValueError`` before the EM runs."""
     _dp_states(_multiplicity_groups(profile)[1])
     iterates, dp = _em_run(profile, K, cfg or EmConfig())
     iterates = [Distribution(q) for q in iterates]

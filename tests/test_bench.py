@@ -185,6 +185,11 @@ class TestConfig:
             ExperimentConfig(task="renyi", distributions=("uniform",), k=10, n_grid=(100,))
         with pytest.raises(ValueError):
             ExperimentConfig(task="uniformity", distributions=("uniform",), k=10, n_grid=(100,))
+        # t_pml_test's range, refused before any trial runs
+        for epsilon in (math.nan, 3.0, 0.0):
+            with pytest.raises(ValueError, match="epsilon"):
+                ExperimentConfig(task="uniformity", distributions=("uniform",), k=10, n_grid=(100,),
+                                 estimators=("pml",), epsilon=epsilon)
         with pytest.raises(ValueError):
             ExperimentConfig(task="l1", distributions=("uniform",), k=10, n_grid=(100,),
                              estimators=("tpml",))
@@ -715,6 +720,20 @@ class TestCli:
             args = _build_parser().parse_args(argv)
             assert args.sweeps == lib.mcmc_sweeps_per_estep
             assert _em_config(args, lib.seed) == lib
+
+    def test_bench_rejects_an_epsilon_outside_the_tester_range(self, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "grid.cfg"
+        config.write_text("task = uniformity\ndistributions = uniform\nk = 10\nn_grid = 40\n"
+                          "trials = 2\nestimators = pml\nepsilon = 3.0\n")
+        out = tmp_path / "out"
+
+        def no_trials(calls):
+            raise AssertionError("a trial ran before the refusal")
+
+        monkeypatch.setattr(bench._WORKERS, "run", no_trials)
+        assert main(["bench", "--config", str(config), "--out", str(out)]) == 1
+        assert "epsilon" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bench_bad_config_is_usage_error(self, tmp_path):
         config = tmp_path / "grid.cfg"

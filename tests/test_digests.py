@@ -62,11 +62,14 @@ _CALLS = {
     "approximate_pml_eight_chains": lambda: approximate_pml(
         draw_sample(make("log_series", 500), 2000, RngSeed(3)), cfg=EmConfig(seed=RngSeed(4))
     ).as_array().tobytes(),
-    # the exact E-step; the tilted uniform start wins here, the empirical
-    # one in the trace below, and the two tie on the last
+    # the exact E-step on placements (1,680, 6 and 180 of them); the tilted
+    # uniform start wins here, the empirical one in the trace below, and the
+    # two tie on the last
     "em_pml_exact": lambda: em_pml(Profile.from_multiplicities([2, 2, 2, 1, 1, 1]), 9).as_array().tobytes(),
     "em_pml_exact_tie": lambda: em_pml(Profile.from_multiplicities([7, 2]), 3).as_array().tobytes(),
     "em_pml_trace_exact": lambda: _trace_bytes(Profile.from_multiplicities([3, 2, 2, 1]), 6),
+    # the exact E-step on the dynamic program: 15,120 placements
+    "em_pml_exact_dp": lambda: em_pml(Profile.from_multiplicities([4, 3, 2, 2, 1, 1]), 9).as_array().tobytes(),
     "tpml_distribution": lambda: tpml_distribution(
         draw_sample(make("zipf", 2000), 20_000, RngSeed(5)), cfg=EmConfig(seed=RngSeed(6))
     ).as_array().tobytes(),
@@ -86,9 +89,10 @@ _DIGESTS = {
         "approximate_pml_one_chain": "e4033f901940e5b727182aeb6daf800171966921f8119d9768a16d0655e90a5a",
         "desk_grid_csv": "2d081ac5927a9c1ad754e08a76c98147321e3e1ecdd6052b8b79979fdcfe3840",
         "draw_sample": "51420824753c803c0a122a34c22224d35b226918c8bdc53924f92c0179627cbf",
-        "em_pml_exact": "099ebc4aeaac22719854339c7ebc4d03de13aa4b5ef221cce03bf284d8cc5be8",
-        "em_pml_exact_tie": "a9604568f95e1bd969fad2c20ec655ba2a85ccf71889aa88081ea0b587c870ff",
-        "em_pml_trace_exact": "00d8633ca165615f535db83602eaa4566eabcffa57a35bef8d99a09531143fbe",
+        "em_pml_exact": "eecd9f210aa962f0bd506d0251e642fa7648b0f6bd28aa0c838408f2d9aa457b",
+        "em_pml_exact_dp": "238e935e3a54138204b283b8e5e140c7b9073b0e4bed8c51f3508fbc58d32225",
+        "em_pml_exact_tie": "100fbdbf94961f94b6bcd8a29a778d21935c2102583095940a635ffa2e32b8c5",
+        "em_pml_trace_exact": "6b96e0a807a336a0b0d64a9f765b162dfc3bc9decd6690e4a2b2ff2bb363b2c6",
         "estimate_unsorted_l1": "04a3203ced256c92bb5beb10cc9ede31ebbbeb6ef9d021291680cccee2299e58",
         "plug_in_renyi": "3346cd14a25df02b086b769322eefcaa82fbee1ab23a035d94ba5fda12d44f6a",
         "tpml_distribution": "6f029a594593c77ba97afa7fb9ac48de2d45c35b93a02cd87b14ef8abebd6cf0",

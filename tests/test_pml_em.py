@@ -36,11 +36,15 @@ from pmllab.likelihood import (
 )
 from pmllab.pml_em import (
     _LOG_FLOOR,
+    _PLACEMENT_LIMIT,
     _chain_count,
     _em_run,
     _empirical_start,
     _exact_estep,
     _mcmc_estep_mass,
+    _placement_count,
+    _placement_estep,
+    _placements,
     _tilted_uniform,
     split_threshold,
 )
@@ -272,6 +276,21 @@ class TestEmPml:
             for a, b in zip(trace, trace[1:]):
                 assert b >= a - 1e-12
 
+    @staticmethod
+    def _permutation_oracle(mults, q):
+        """The exact E-step by enumerating every injective assignment of
+        the symbols to the points, at log max(q, _LOG_FLOOR) as both E-steps
+        take it."""
+        K = q.size
+        lq = [math.log(max(x, _LOG_FLOOR)) for x in q.tolist()]
+        perms = list(itertools.permutations(range(K), mults.size))
+        logw = np.array([sum(mults[j] * lq[s] for j, s in enumerate(p)) for p in perms])
+        w = np.exp(logw - logw.max())
+        want = np.zeros(K)
+        for wi, p in zip(w, perms):
+            want[list(p)] += wi * mults
+        return want / w.sum()
+
     def test_exact_estep_matches_permutation_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
@@ -279,17 +298,50 @@ class TestEmPml:
             m = int(rng.integers(1, min(K, 6) + 1))
             mults = np.sort(rng.integers(1, 6, m))[::-1].astype(float)
             q = rng.dirichlet(np.ones(K))
-            perms = list(itertools.permutations(range(K), m))
-            logw = np.array([sum(mults[j] * math.log(q[s]) for j, s in enumerate(p))
-                             for p in perms])
-            w = np.exp(logw - logw.max())
-            want = np.zeros(K)
-            for wi, p in zip(w, perms):
-                want[list(p)] += wi * mults
-            want /= w.sum()
+            want = self._permutation_oracle(mults, q)
             got = _exact_estep(*np.unique(mults, return_counts=True), 1, K)[0](q[None])[0]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
             assert got.sum() == pytest.approx(mults.sum(), rel=1e-12)
+
+    def test_placement_estep_matches_the_dp_and_the_permutation_oracle(self):
+        # K = 1..10 at one start and two, an entry below the log floor, and
+        # the two profiles here with N at _PLACEMENT_LIMIT
+        rng = np.random.default_rng(31)
+        cases = []
+        for K in range(1, 11):
+            for S in (1, 2):
+                for _ in range(2):
+                    m = int(rng.integers(1, min(K, 4) + 1))
+                    cases.append((np.sort(rng.integers(1, 6, m))[::-1].astype(float), K, S))
+        at_limit = [(np.arange(4.0, 0.0, -1.0), 10, 2), (np.arange(6.0, 0.0, -1.0), 7, 1)]
+        for mults, K, _ in at_limit:
+            assert _placement_count(np.unique(mults, return_counts=True)[1], K) == _PLACEMENT_LIMIT
+        for mults, K, S in cases + at_limit:
+            groups = np.unique(mults, return_counts=True)
+            q = rng.dirichlet(np.ones(K), size=S)
+            q[0, -1] = 1e-320
+            got = _placement_estep(*groups, K)[0](q)
+            assert got.shape == q.shape
+            np.testing.assert_allclose(got, _exact_estep(*groups, S, K)[0](q), rtol=1e-12, atol=0)
+            for row_got, row in zip(got, q):
+                np.testing.assert_allclose(row_got, self._permutation_oracle(mults, row), rtol=1e-12, atol=0)
+
+    def test_placements_are_the_distinct_rearrangements(self):
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            K = int(rng.integers(1, 11))
+            mults = rng.integers(1, 6, int(rng.integers(1, min(K, 6) + 1)))
+            vals, counts = np.unique(mults.astype(float), return_counts=True)
+            N = _placement_count(counts, K)
+            if N > _PLACEMENT_LIMIT:
+                continue
+            rows = _placements(vals, counts, K)
+            padded = sorted(mults.tolist() + [0] * (K - mults.size))
+            assert rows.shape == (N, K)
+            assert len({row.tobytes() for row in rows}) == N
+            assert all(sorted(row) == padded for row in rows.tolist())
+            if K <= 7:  # the count by enumerating every order of the padded multiset
+                assert N == len(set(itertools.permutations(padded)))
 
     def test_stacked_estep_equals_one_call_per_start(self):
         rng = np.random.default_rng(19)
@@ -320,13 +372,15 @@ class TestEmPml:
             full, short = _MonomialPass(vals, counts, S * (K + 1)).run(rows.reshape(S * (K + 1), K))
             full = full.reshape(S, K + 1)[:, K, None, None]
             short = short.reshape(S, K + 1, -1)[:, :K]
-            want = np.exp(vals * lq[..., None] + short - full) @ vals
+            want = np.einsum("skg,g->sk", np.exp(vals * lq[..., None] + short - full), vals)
             assert _exact_estep(vals, counts, S, K)[0](q).tobytes() == want.tobytes()
 
     @staticmethod
-    def _sequential_starts(profile, K, cfg):
+    def _sequential_starts(profile, K, cfg, placements=False):
         """The exact path with each start run to the end before the next, as
-        a reference for the starts advancing together."""
+        a reference for the starts advancing together: on the dynamic
+        program, whose endpoints are scored by their profile probability, or
+        on placements, whose endpoints are scored by their log sums."""
         mults = np.asarray(profile.multiplicities(), dtype=float)
         groups = np.unique(mults, return_counts=True)
         starts = [_tilted_uniform(K)] + ([_empirical_start(mults, K)] if K >= 2 else [])
@@ -335,15 +389,18 @@ class TestEmPml:
             trace = []
             for _ in range(cfg.em_iterations):
                 trace.append(profile_probability(Distribution(q), profile))
-                mass = _exact_estep(*groups, 1, K)[0](q[None])[0]
+                estep = _placement_estep(*groups, K) if placements else _exact_estep(*groups, 1, K)
+                mass = estep[0](q[None])[0]
                 q = mass / mass.sum()
             dist = Distribution(q)
             trace.append(profile_probability(dist, profile))
-            if best is None or trace[-1] > best[0]:
-                best = (trace[-1], dist, trace)
+            score = _placement_estep(*groups, K)[1](dist.as_array()[None])[0] if placements else trace[-1]
+            if best is None or score > best[0]:
+                best = (score, dist, trace)
         return best[1], best[2]
 
-    def test_starts_advancing_together_match_sequential_starts(self):
+    def test_starts_advancing_together_match_sequential_starts(self, monkeypatch):
+        monkeypatch.setattr(pml_em, "_PLACEMENT_LIMIT", 0)  # every run on the dynamic program
         rng = random.Random(61)
         for K in range(1, 11):
             for _ in range(6):
@@ -357,10 +414,29 @@ class TestEmPml:
                 assert got_trace == want_trace, (K, prof)
                 assert em_pml(prof, K, cfg).as_array().tobytes() == want.as_array().tobytes()
 
-    def test_tables_reused_across_esteps_carry_nothing_over(self):
+    def test_starts_advancing_together_on_placements_match_sequential_starts(self):
+        rng = random.Random(63)
+        for K in range(1, 11):
+            done = 0
+            while done < 6:
+                prof = Profile.from_multiplicities(
+                    [rng.randint(1, 5) for _ in range(rng.randint(1, min(K, 8)))]
+                )
+                if _placement_count(_multiplicity_groups(prof)[1], K) > _PLACEMENT_LIMIT:
+                    continue
+                done += 1
+                cfg = EmConfig(em_iterations=rng.randint(1, 25))
+                want, want_trace = self._sequential_starts(prof, K, cfg, placements=True)
+                got, got_trace = em_pml_trace(prof, K, cfg)
+                assert got.as_array().tobytes() == want.as_array().tobytes(), (K, prof)
+                assert got_trace == want_trace, (K, prof)
+                assert em_pml(prof, K, cfg).as_array().tobytes() == want.as_array().tobytes()
+
+    def test_tables_reused_across_esteps_carry_nothing_over(self, monkeypatch):
         # the exact EM makes its rows and the program's tables once per run;
         # each E-step must give the bits of one made with new tables. One
         # start (S = 1) at K = 1, two starts (S = 2) above.
+        monkeypatch.setattr(pml_em, "_PLACEMENT_LIMIT", 0)  # every run on the dynamic program
         rng = random.Random(71)
         cases = [(Profile({3: 1}), 1), (Profile({1: 1}), 1)]
         for K in range(2, 11):
@@ -378,6 +454,37 @@ class TestEmPml:
                 want.append(q)
             ends = [profile_probability(Distribution(row), prof) for row in q]
             best = ends.index(max(ends))
+            got = list(_em_run(prof, K, cfg)[0])
+            assert [g.tobytes() for g in got] == [w[best].tobytes() for w in want], (K, prof)
+            dist, trace = em_pml_trace(prof, K, cfg)
+            assert dist.as_array().tobytes() == Distribution(want[-1][best]).as_array().tobytes()
+            assert trace == [profile_probability(Distribution(w[best]), prof) for w in want]
+
+    def test_placements_reused_across_esteps_carry_nothing_over(self):
+        # the exact EM on placements makes their matrix once per run; each
+        # E-step must give the bits of one made with a new matrix, and so
+        # must the scores that pick the start
+        rng = random.Random(73)
+        cases = [(Profile({3: 1}), 1), (Profile({1: 1}), 1)]
+        for K in range(2, 11):
+            while True:
+                mults = [rng.randint(1, 5) for _ in range(rng.randint(1, min(K, 8)))]
+                prof = Profile.from_multiplicities(mults)
+                if _placement_count(_multiplicity_groups(prof)[1], K) <= _PLACEMENT_LIMIT:
+                    break
+            cases.append((prof, K))
+        cfg = EmConfig(em_iterations=12)
+        for prof, K in cases:
+            mults = np.asarray(prof.multiplicities(), dtype=float)
+            groups = np.unique(mults, return_counts=True)
+            q = np.stack([_tilted_uniform(K)] + ([_empirical_start(mults, K)] if K >= 2 else []))
+            want = [q]
+            for _ in range(cfg.em_iterations):
+                mass = _placement_estep(*groups, K)[0](q)
+                q = mass / mass.sum(axis=1, keepdims=True)
+                want.append(q)
+            ends = np.stack([Distribution(row).as_array() for row in q])
+            best = int(np.argmax(_placement_estep(*groups, K)[1](ends)))
             got = list(_em_run(prof, K, cfg)[0])
             assert [g.tobytes() for g in got] == [w[best].tobytes() for w in want], (K, prof)
             dist, trace = em_pml_trace(prof, K, cfg)
@@ -409,12 +516,37 @@ class TestEmPml:
 
         monkeypatch.setattr(likelihood, "_MonomialPass", Counted)
         monkeypatch.setattr(pml_em, "_MonomialPass", Counted)
+        monkeypatch.setattr(pml_em, "_PLACEMENT_LIMIT", 0)  # every run on the dynamic program
         for prof, K in ((Profile({3: 1}), 1), (Profile({1: 2, 2: 1}), 6),
                         (Profile.from_multiplicities(range(1, 9)), 10)):
             for run in (em_pml, em_pml_trace):
                 made.clear()
                 run(prof, K)
                 assert len(made) == 1, (run, prof, K)
+
+    def test_placement_runs_make_no_pass_and_their_traces_one(self, monkeypatch):
+        # up to _PLACEMENT_LIMIT placements em_pml makes no dynamic-program
+        # pass and em_pml_trace one, to score its iterates; one placement
+        # more than the limit and em_pml makes one pass too
+        made = []
+
+        class Counted(likelihood._MonomialPass):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(likelihood, "_MonomialPass", Counted)
+        monkeypatch.setattr(pml_em, "_MonomialPass", Counted)
+        at_limit = Profile.from_multiplicities([4, 3, 2, 1])  # 5,040 placements on 10 points
+        for prof, K in ((Profile({3: 1}), 1), (Profile({1: 2, 2: 1}), 6), (at_limit, 10)):
+            for run, passes in ((em_pml, 0), (em_pml_trace, 1)):
+                made.clear()
+                run(prof, K)
+                assert len(made) == passes, (run, prof, K)
+        monkeypatch.setattr(pml_em, "_PLACEMENT_LIMIT", _PLACEMENT_LIMIT - 1)
+        made.clear()
+        em_pml(at_limit, 10)
+        assert len(made) == 1
 
     def test_sampled_trace_ends_at_the_estimate(self):
         rng = random.Random(67)
@@ -658,6 +790,36 @@ class TestEmPml:
             _, oracle_val = exact_pml_oracle(prof, k)
             _, trace = em_pml_trace(prof, k, cfg)
             assert trace[-1] >= 0.9 * oracle_val
+
+    def test_sampled_em_likelihood_deficit_against_the_exact_em(self, monkeypatch):
+        # Ten profiles of m = 9..12 symbols over K = m..1.5m points, past the
+        # routing limits. The exact EM (those limits patched away, 100
+        # iterations) runs the dynamic program on seven of them, which have
+        # 277,200 to 25 million placements, and placements on three (630 to
+        # 3,960). The deficit is its log profile probability less the sampled
+        # EM's at the defaults, in nats. Here it reads median 0.056, range
+        # 0.018 to 0.138 (median 0.038 at EM seed 9). The bound of 0.10 fails
+        # a sampled EM on a quarter of its sweeps (median 0.113) or on 20
+        # iterations (0.143). The exact EM is a local method too: over the
+        # 400 profiles of seeds 1-40 it ended below the sampled EM on 2, by
+        # 0.029 and 0.260 nats, and stayed there after 1,000 iterations, so
+        # one profile in ten may. Seed 5 is among the quickest of seeds
+        # 1-199 to run (about 1.2 s).
+        rng = random.Random(5)
+        pool = (1, 1, 1, 1, 2, 2, 3, 4, 5, 7)
+        cases = []
+        for _ in range(10):
+            m = rng.randint(9, 12)
+            cases.append((Profile.from_multiplicities([rng.choice(pool) for _ in range(m)]),
+                          rng.randint(m, m * 3 // 2)))
+        sampled = [em_pml(prof, K) for prof, K in cases]
+        monkeypatch.setattr(pml_em, "_EXACT_M_LIMIT", math.inf)
+        monkeypatch.setattr(pml_em, "_EXACT_K_LIMIT", math.inf)
+        exact = [em_pml(prof, K, EmConfig(em_iterations=100)) for prof, K in cases]
+        deficits = [math.log(profile_probability(e, prof)) - math.log(profile_probability(s, prof))
+                    for (prof, _), e, s in zip(cases, exact, sampled)]
+        assert sum(d >= 0.0 for d in deficits) >= 9, deficits
+        assert np.median(deficits) <= 0.10, deficits
 
     def test_mcmc_path_deterministic(self):
         prof = Profile({1: 9, 2: 3})
