@@ -296,6 +296,8 @@ class Profile:
 
     def dense(self, length: int | None = None) -> tuple[int, ...]:
         top = self.max_multiplicity if length is None else _integer(length, "profile length")
+        if top < 0:
+            raise ValueError(f"profile length must be >= 0, got {top}")
         return tuple(self.phi(i) for i in range(1, top + 1))
 
     @classmethod

@@ -4,19 +4,15 @@ The probability of observing a given profile comes from one log-space
 dynamic program over the remaining count per multiplicity group, run by
 one pass (:class:`_MonomialPass`) over a fixed number of rows of
 probabilities. The pass runs any number of rows in blocks of that many,
-which bounds the tables' memory: the likelihood trace of the sampled EM and
-the oracle's grid each score all their rows through one pass, and the exact
-EM, where its placements pass ``pml_em._PLACEMENT_LIMIT``, runs one pass per
-run, for every E-step and again to score its endpoints and a trace's
-iterates. Its tables are small, so a pass costs NumPy calls
-more than arithmetic. The table keeps the row axis last, so every call runs
-its inner loop over contiguous rows, and the table, its views and buffers
-are made once per pass. While a point's sums over all G groups take at most
-a sixteenth of ``_MAX_DP_STATES`` cells, a middle point costs one broadcast
-add and one ``logaddexp`` per group; a larger table takes one group at a
-time through a copy of itself and one shared scratch buffer, about three
-tables in all. The first point is written directly and the last one
-computed only at the cells the pass returns. Sequence enumeration is the
+which bounds the tables' memory: a trace's iterates, the exact EM's
+endpoints and the oracle's grid each score all their rows through one
+pass, and the exact EM, where its placements pass
+``pml_em._PLACEMENT_LIMIT``, runs every E-step through one pass of its own.
+The table keeps the row axis last, so every call runs its inner loop over
+contiguous rows, and the table, its views and buffers are made once per
+pass. Each point after the first takes one group at a time through a copy
+of the table and one shared scratch buffer, about three tables in all;
+the first point is written directly. Sequence enumeration is the
 independent reference for the program; the grid-search maximizer, which
 validates the EM solver, scores through it.
 """
@@ -67,16 +63,12 @@ class _MonomialPass:
     lp[r, s]); ``short[r, g]`` has c_g - 1 for c_g. :meth:`run` takes
     ``rows`` rows, :meth:`full` any number.
 
-    A pass costs NumPy calls more than arithmetic on these small tables, so
-    everything it touches is made here. The table's row axis is last, so
-    that every group's shifted view runs its inner loop over contiguous
-    rows. A point's G group sums are held at once while they are small,
-    16 * G * cells <= ``_MAX_DP_STATES`` (at most 512 KiB): one G-table
-    buffer that one broadcast add fills, and each group's view of it, with
-    the last point gathered at the returned cells. A larger table keeps a
-    copy of itself for the previous point and one scratch buffer that every
-    group reads through a view of its own shape, about three tables in all
-    (one buffer per group would multiply that by up to G).
+    Everything a pass touches is made here. The table's row axis is last,
+    so that every group's shifted view runs its inner loop over contiguous
+    rows. It keeps a copy of itself for the previous point and one scratch
+    buffer that every group reads through a view of its own shape, about
+    three tables in all (one buffer per group would multiply that by up to
+    G).
     """
 
     def __init__(self, vals: np.ndarray, counts: np.ndarray, rows: int):
@@ -85,37 +77,22 @@ class _MonomialPass:
         self.vals = vals[:, None]
         # a point's terms as G tables of one cell per row
         self.point = (groups, *(1,) * groups, rows)
-        held = 16 * groups * states * rows <= _MAX_DP_STATES
-        # the table, then, for the gather, one cell of -inf for a returned
-        # cell less one symbol of a group that has none left
-        self.flat = np.empty((states + held, rows))
-        self.flat[states:] = -np.inf
-        self.table = self.flat[:states].reshape(*(counts + 1), rows)
+        self.table = np.empty((*(counts + 1), rows))
+        self.flat = self.table.reshape(states, rows)
+        self.prev = np.empty_like(self.table)
+        scratch = np.empty(self.table.size)
         lead = (slice(None),) * groups
-        dst = [self.table[lead[:g] + (slice(1, None),)] for g in range(groups)]
-        src = [lead[:g] + (slice(None, -1),) for g in range(groups)]
-        if held:
-            self.prev = None
-            self.sums = np.empty((groups, *self.table.shape))
-            self.views = [(d, self.sums[g][s]) for g, (d, s) in enumerate(zip(dst, src))]
-        else:
-            self.prev, self.sums = np.empty_like(self.table), None
-            scratch = np.empty(self.table.size)
-            self.views = []
-            for d, s in zip(dst, src):
-                s = self.prev[s]
-                self.views.append((d, s, scratch[: s.size].reshape(s.shape)))
+        self.views = []
+        for g in range(groups):
+            s = self.prev[lead[:g] + (slice(None, -1),)]
+            d = self.table[lead[:g] + (slice(1, None),)]
+            self.views.append((d, s, scratch[: s.size].reshape(s.shape)))
         # cell units[g] holds one symbol of group g; the pass returns the
         # cell of the counts and the cells of the counts less one symbol of
-        # each group. near[0, i] is returned cell i, near[g + 1, i] that
-        # cell less one symbol of group g, or the -inf cell where g has
-        # none; rows past the first are read only while the sums are held.
+        # each group
         self.units = np.asarray(self.table.strides[:-1]) // (rows * self.table.itemsize)
         at = int(counts @ self.units)
-        cells = np.concatenate(([at], at - self.units))
-        self.near = np.vstack((cells, cells - self.units[:, None]))
-        spent = np.flatnonzero(counts == 1)
-        self.near[spent + 1, spent + 1] = states
+        self.cells = np.concatenate(([at], at - self.units))
 
     def run(self, lp: np.ndarray):
         """(full, short) for the rows of ``lp`` (2-D, one row per table
@@ -126,14 +103,6 @@ class _MonomialPass:
         one symbol of g. Of two or more points, the first writes term g into
         the cell of one symbol of g: that is logaddexp(-inf, 0.0 + term g)
         but for the sign of a zero, which no later logaddexp tells apart.
-        While the sums are held at once, each later point but the last
-        takes one broadcast add and one logaddexp per group, and the last
-        point is made only at the G + 1 returned cells: their terms are
-        gathered, the cell itself first, and reduced in group order, a
-        missing cell reading -inf, where logaddexp(x, -inf) == x. A larger
-        table makes each group's sum in turn at every later point, the last
-        one too, since the gather would take up to twice the table. Every
-        bit is that of the update run at every cell and point.
         """
         table, flat = self.table, self.flat
         table.fill(-np.inf)
@@ -144,24 +113,12 @@ class _MonomialPass:
         if len(points) > 1:
             flat[self.units] = terms[0]
             points = points[1:]
-        if self.sums is None:
-            for point in points:
-                np.copyto(self.prev, table)
-                for (d, s, t), v in zip(self.views, point):
-                    np.add(s, v, out=t)
-                    np.logaddexp(d, t, out=d)
-            out = flat[self.near[0]]
-        else:
-            for point in points[:-1]:
-                np.add(table, point, out=self.sums)
-                for d, s in self.views:
-                    np.logaddexp(d, s, out=d)
-            out = flat[self.near]
-            if len(points):
-                out[1:] += terms[-1][:, None, :]
-                out = np.logaddexp.reduce(out, axis=0)
-            else:
-                out = out[0]
+        for point in points:
+            np.copyto(self.prev, table)
+            for (d, s, t), v in zip(self.views, point):
+                np.add(s, v, out=t)
+                np.logaddexp(d, t, out=d)
+        out = flat[self.cells]
         return out[0], np.ascontiguousarray(out[1:].T)
 
     def full(self, lp: np.ndarray) -> np.ndarray:
@@ -176,12 +133,9 @@ class _MonomialPass:
 
 
 @np.errstate(divide="ignore")  # np.log of a zero entry
-def _profile_probabilities(
-    points: np.ndarray, profile: Profile, dp: _MonomialPass | None = None
-) -> np.ndarray:
-    """Profile probability at every row of a probability matrix, through
-    ``dp``, a pass for the profile's multiplicity groups, or else one pass
-    of as many rows as ``_MAX_DP_STATES`` cells hold.
+def _profile_probabilities(points: np.ndarray, profile: Profile) -> np.ndarray:
+    """Profile probability at every row of a probability matrix, through one
+    pass of as many rows as ``_MAX_DP_STATES`` cells hold.
 
     A zero entry enters as log 0 = -inf, and ``np.logaddexp(x, -inf) == x``,
     so it gives the same bits as a dropped point. Each value is capped at 1,
@@ -190,9 +144,8 @@ def _profile_probabilities(
     points = np.atleast_2d(points)
     if not profile.m:
         return np.ones(points.shape[0])
-    if dp is None:
-        vals, counts = _multiplicity_groups(profile)
-        dp = _MonomialPass(vals, counts, min(len(points), _MAX_DP_STATES // _dp_states(counts)))
+    vals, counts = _multiplicity_groups(profile)
+    dp = _MonomialPass(vals, counts, min(len(points), _MAX_DP_STATES // _dp_states(counts)))
     log_coef = math.lgamma(profile.n + 1) - sum(
         phi * math.lgamma(i + 1) for i, phi in profile.prevalences.items()
     )

@@ -16,8 +16,8 @@ which advance together. Up to _PLACEMENT_LIMIT distinct placements of the
 multiset on the points, its E-step is one weighted sum over them, which
 also scores the endpoints; above it, the log-space dynamic program of the
 profile likelihood, over K + 1 rows per start (each support point left
-out, then none), in one pass run once per EM iteration and again to score
-the endpoints and a trace's iterates.
+out, then none), in one pass run once per EM iteration; the profile
+likelihood scores the endpoints.
 Symbols of equal multiplicity are exchangeable, so the sampled E-step runs
 its chains on the multiplicity each support point holds: one block of
 pairwise content exchanges per sweep covers both symbol swaps and moves to
@@ -198,8 +198,7 @@ def _empirical_start(mults: np.ndarray, K: int) -> np.ndarray:
 
 def _exact_estep(vals: np.ndarray, counts: np.ndarray, S: int, K: int):
     """The exact E-step for S starts over K points: ``mass`` maps the (S, K)
-    iterate to the expected multiplicity mass per support point through
-    ``dp``, the pass it returns with it.
+    iterate to the expected multiplicity mass per support point.
 
     Point s hosts a symbol of multiplicity v with probability q_s^v times
     the monomial sum of the rest of the multiset over the other points,
@@ -224,7 +223,7 @@ def _exact_estep(vals: np.ndarray, counts: np.ndarray, S: int, K: int):
         # and with it the bits, by the CPU
         return np.einsum("skg,g->sk", np.exp(vals * lq[..., None] + short - full), vals)
 
-    return mass, dp
+    return mass
 
 
 def _placement_count(counts: np.ndarray, K: int) -> int:
@@ -422,10 +421,10 @@ def _em_exact(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig):
     """EM with the exact E-step from the tilted uniform start and, when
     K >= 2, the empirical one; the starts advance together, one E-step for
     both per iteration. Up to _PLACEMENT_LIMIT placements the E-step is a
-    sum over them, which also scores the endpoints; above it, one run of the
-    dynamic program's pass, which scores them too. Returns the iterates of
-    the start whose endpoint is likelier (the first on a tie) and that pass,
-    or None on placements."""
+    sum over them, which also scores the endpoints; above it, one pass of the
+    dynamic program, and the endpoints go to the profile likelihood. Returns
+    the iterates of the start whose endpoint is likelier (the first on a
+    tie)."""
     vals, counts = _multiplicity_groups(profile)
     starts = [_tilted_uniform(K)]
     if K >= 2:
@@ -434,19 +433,18 @@ def _em_exact(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig):
     iterates = [np.stack(starts)]
     if _placement_count(counts, K) <= _PLACEMENT_LIMIT:
         estep, score = _placement_estep(vals, counts, K)
-        dp = None
     else:
-        estep, dp = _exact_estep(vals, counts, *iterates[0].shape)
+        estep = _exact_estep(vals, counts, *iterates[0].shape)
 
         def score(ends: np.ndarray) -> np.ndarray:
-            return _profile_probabilities(ends, profile, dp)
+            return _profile_probabilities(ends, profile)
 
     for _ in range(cfg.em_iterations):
         mass = estep(iterates[-1])
         iterates.append(mass / mass.sum(axis=1, keepdims=True))
     ends = np.stack([Distribution(q).as_array() for q in iterates[-1]])
     best = int(np.argmax(score(ends)))  # the first start on a tie
-    return [q[best] for q in iterates], dp
+    return [q[best] for q in iterates]
 
 
 def _chain_count(K: int, sweeps: int) -> int:
@@ -495,8 +493,7 @@ def _em_sampled(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig):
 
 def _em_run(profile: Profile, K: int, cfg: EmConfig):
     """Check the inputs now and return the EM iterates, the initialization
-    first and the estimate last, with the dynamic program's pass of the
-    exact E-step, or None where no E-step ran on that program."""
+    first and the estimate last."""
     K = _integer(K, "support size")
     if K < 1:
         raise ValueError("support size must be >= 1")
@@ -505,9 +502,9 @@ def _em_run(profile: Profile, K: int, cfg: EmConfig):
     if m > K:
         raise ValueError(f"support size {K} cannot host {m} distinct symbols")
     if m == 0 or cfg.em_iterations == 0:
-        return iter([_tilted_uniform(K)]), None
+        return iter([_tilted_uniform(K)])
     if m > _EXACT_M_LIMIT or K > _EXACT_K_LIMIT:
-        return _em_sampled(profile, mults, K, cfg), None
+        return _em_sampled(profile, mults, K, cfg)
     return _em_exact(profile, mults, K, cfg)
 
 
@@ -524,20 +521,18 @@ def em_pml(profile: Profile, K: int, cfg: EmConfig | None = None) -> Distributio
     iterates, which strips most of the Monte Carlo jitter from the returned
     multiset. Only the last iterate is kept.
     """
-    return Distribution(deque(_em_run(profile, K, cfg or EmConfig())[0], maxlen=1).pop())
+    return Distribution(deque(_em_run(profile, K, cfg or EmConfig()), maxlen=1).pop())
 
 
 def em_pml_trace(profile: Profile, K: int, cfg: EmConfig | None = None):
     """Like :func:`em_pml`, but also returns the profile probability of every
     iterate (initialization included), scored after the EM by one pass of
-    the dynamic program: on the exact path above the placement limit, the
-    pass its E-step ran. A profile too large for that program raises
-    ``ValueError`` before the EM runs."""
+    the dynamic program of its own. A profile too large for that program
+    raises ``ValueError`` before the EM runs."""
     _dp_states(_multiplicity_groups(profile)[1])
-    iterates, dp = _em_run(profile, K, cfg or EmConfig())
-    iterates = [Distribution(q) for q in iterates]
+    iterates = [Distribution(q) for q in _em_run(profile, K, cfg or EmConfig())]
     points = np.stack([q.as_array() for q in iterates])
-    return iterates[-1], _profile_probabilities(points, profile, dp).tolist()
+    return iterates[-1], _profile_probabilities(points, profile).tolist()
 
 
 def _light_em(split: SplitResult, k_hint: int | None, cfg: EmConfig) -> np.ndarray | None:

@@ -105,6 +105,12 @@ class TestSampleAndProfile:
         assert prof.dense(7) == (0, 2, 1, 0, 0, 0, 0)
         assert prof.n == 7
 
+    def test_profile_dense_refuses_a_negative_length(self):
+        prof = Profile.from_multiplicities([5, 1, 1])
+        with pytest.raises(ValueError, match=">= 0"):
+            prof.dense(-3)
+        assert prof.dense(0) == ()
+
     def test_profile_single_symbol(self):
         prof = profile_of(Sample({5: 5}))
         assert dict(prof.prevalences) == {5: 1}

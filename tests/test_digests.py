@@ -70,6 +70,7 @@ _CALLS = {
     "em_pml_trace_exact": lambda: _trace_bytes(Profile.from_multiplicities([3, 2, 2, 1]), 6),
     # the exact E-step on the dynamic program: 15,120 placements
     "em_pml_exact_dp": lambda: em_pml(Profile.from_multiplicities([4, 3, 2, 2, 1, 1]), 9).as_array().tobytes(),
+    "em_pml_trace_exact_dp": lambda: _trace_bytes(Profile.from_multiplicities([4, 3, 2, 2, 1, 1]), 9),
     "tpml_distribution": lambda: tpml_distribution(
         draw_sample(make("zipf", 2000), 20_000, RngSeed(5)), cfg=EmConfig(seed=RngSeed(6))
     ).as_array().tobytes(),
@@ -93,6 +94,7 @@ _DIGESTS = {
         "em_pml_exact_dp": "238e935e3a54138204b283b8e5e140c7b9073b0e4bed8c51f3508fbc58d32225",
         "em_pml_exact_tie": "100fbdbf94961f94b6bcd8a29a778d21935c2102583095940a635ffa2e32b8c5",
         "em_pml_trace_exact": "6b96e0a807a336a0b0d64a9f765b162dfc3bc9decd6690e4a2b2ff2bb363b2c6",
+        "em_pml_trace_exact_dp": "d3f8ec6a77ba87ac6e27d38cb6667daad2cb9f25421d1c063b2ef27244563a73",
         "estimate_unsorted_l1": "04a3203ced256c92bb5beb10cc9ede31ebbbeb6ef9d021291680cccee2299e58",
         "plug_in_renyi": "3346cd14a25df02b086b769322eefcaa82fbee1ab23a035d94ba5fda12d44f6a",
         "tpml_distribution": "6f029a594593c77ba97afa7fb9ac48de2d45c35b93a02cd87b14ef8abebd6cf0",

@@ -17,7 +17,6 @@ from pmllab import (
 )
 from pmllab.likelihood import (
     _MAX_DP_STATES,
-    _dp_states,
     _MonomialPass,
     _multiplicity_groups,
     _profile_probabilities,
@@ -169,24 +168,18 @@ def _reference_instances():
             yield stack, m
 
 
-def _check_pass(lp, mults, one_group_at_a_time):
+def _check_pass(lp, mults):
     """Both entry points of the pass against the per-group loop, byte for
-    byte, with every group's sums at once or, under a state limit patched
-    to the table's size, one group at a time; the whole multiset's sums
-    also through a pass of fewer rows, in blocks whose last one is padded."""
+    byte; the whole multiset's sums also through a pass of fewer rows, in
+    blocks whose last one is padded."""
     want = _reference_log_monomial_sums(lp, mults)[1:]
     vals, counts = _groups(mults)
     vals = vals.astype(float)
-    with pytest.MonkeyPatch.context() as mp:
-        if one_group_at_a_time:
-            # one block of every row, whose sums exceed 1/16 of the limit
-            mp.setattr("pmllab.likelihood._MAX_DP_STATES", _dp_states(counts) * lp.shape[0])
-        dp = _MonomialPass(vals, counts, lp.shape[0])
-        assert (dp.prev is not None) == one_group_at_a_time
-        assert _same_bits(dp.run(lp), want)
-        assert _same_bits(dp.run(lp), want)  # a second run starts afresh
-        assert dp.full(lp).tobytes() == want[0].tobytes()
-        assert _MonomialPass(vals, counts, 1 + len(lp) // 2).full(lp).tobytes() == want[0].tobytes()
+    dp = _MonomialPass(vals, counts, lp.shape[0])
+    assert _same_bits(dp.run(lp), want)
+    assert _same_bits(dp.run(lp), want)  # a second run starts afresh
+    assert dp.full(lp).tobytes() == want[0].tobytes()
+    assert _MonomialPass(vals, counts, 1 + len(lp) // 2).full(lp).tobytes() == want[0].tobytes()
 
 
 @st.composite
@@ -222,22 +215,20 @@ class TestLogMonomialSums:
         assert {1, 6} <= groups_seen
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(instance=_pass_instances(), one_group_at_a_time=st.booleans())
-    def test_pass_matches_the_per_group_loop_bit_for_bit(self, instance, one_group_at_a_time):
-        _check_pass(*instance, one_group_at_a_time)
+    @given(instance=_pass_instances())
+    def test_pass_matches_the_per_group_loop_bit_for_bit(self, instance):
+        _check_pass(*instance)
 
-    @pytest.mark.parametrize("one_group_at_a_time", [False, True])
     @pytest.mark.parametrize("points", [0, 1, 2])
-    def test_zero_one_and_two_points(self, points, one_group_at_a_time):
-        # the first of two or more points is written directly, and the last
-        # one gathered while the sums are held: with up to two points no
-        # point is a middle one, and with none the pass returns the
+    def test_zero_one_and_two_points(self, points):
+        # the first of two or more points is written directly, a lone
+        # point goes through the update, and with none the pass returns the
         # starting table
         rng = np.random.default_rng(67)
         for mults in ([1], [2, 2], [1, 3, 3], [1, 2, 3, 4], [5, 5, 5, 1]):
             lp = np.log(rng.random((4, points)))
             lp[0, :1] = -np.inf
-            _check_pass(lp, np.asarray(mults), one_group_at_a_time)
+            _check_pass(lp, np.asarray(mults))
 
     def test_profile_probability_matches_the_allocating_pass(self):
         rng = random.Random(53)
@@ -267,12 +258,10 @@ class TestLogMonomialSums:
                 assert _same_bits(_MonomialPass(*_groups(mults), 1).run(cut), want)
 
     def test_peak_memory_stays_near_the_table(self):
-        # 16 groups of one symbol: 2^16 states, a 512 KiB table, far past
-        # the size at which the pass holds every group's sums at once
-        # (16 * G * cells <= _MAX_DP_STATES). So it takes one group at a
-        # time, from the table, the previous point's copy and one shared
-        # scratch buffer; all 16 sums, or a buffer per group, would take
-        # several times the table.
+        # 16 groups of one symbol: 2^16 states, a 512 KiB table. The pass
+        # takes one group at a time, from the table, the previous point's
+        # copy and one shared scratch buffer; all 16 sums, or a buffer per
+        # group, would take several times the table.
         prof = Profile({i: 1 for i in range(1, 17)})
         table_bytes = 2**16 * 8
         tracemalloc.start()

@@ -31,7 +31,6 @@ from pmllab.likelihood import (
     _MAX_DP_STATES,
     _MonomialPass,
     _multiplicity_groups,
-    _profile_probabilities,
     profile_probability,
 )
 from pmllab.pml_em import (
@@ -299,7 +298,7 @@ class TestEmPml:
             mults = np.sort(rng.integers(1, 6, m))[::-1].astype(float)
             q = rng.dirichlet(np.ones(K))
             want = self._permutation_oracle(mults, q)
-            got = _exact_estep(*np.unique(mults, return_counts=True), 1, K)[0](q[None])[0]
+            got = _exact_estep(*np.unique(mults, return_counts=True), 1, K)(q[None])[0]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
             assert got.sum() == pytest.approx(mults.sum(), rel=1e-12)
 
@@ -322,7 +321,7 @@ class TestEmPml:
             q[0, -1] = 1e-320
             got = _placement_estep(*groups, K)[0](q)
             assert got.shape == q.shape
-            np.testing.assert_allclose(got, _exact_estep(*groups, S, K)[0](q), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(got, _exact_estep(*groups, S, K)(q), rtol=1e-12, atol=0)
             for row_got, row in zip(got, q):
                 np.testing.assert_allclose(row_got, self._permutation_oracle(mults, row), rtol=1e-12, atol=0)
 
@@ -351,10 +350,10 @@ class TestEmPml:
             groups = np.unique(mults.astype(float), return_counts=True)
             q = rng.dirichlet(np.ones(K), size=int(rng.integers(1, 4)))
             q[0, -1] = 1e-320
-            got = _exact_estep(*groups, *q.shape)[0](q)
+            got = _exact_estep(*groups, *q.shape)(q)
             assert got.shape == q.shape
             for row_got, row in zip(got, q):
-                assert row_got.tobytes() == _exact_estep(*groups, 1, K)[0](row[None])[0].tobytes()
+                assert row_got.tobytes() == _exact_estep(*groups, 1, K)(row[None])[0].tobytes()
 
     def test_leave_one_out_rows_match_an_identity_mask(self):
         # the rows built with np.where over np.eye, as a reference for the
@@ -373,7 +372,7 @@ class TestEmPml:
             full = full.reshape(S, K + 1)[:, K, None, None]
             short = short.reshape(S, K + 1, -1)[:, :K]
             want = np.einsum("skg,g->sk", np.exp(vals * lq[..., None] + short - full), vals)
-            assert _exact_estep(vals, counts, S, K)[0](q).tobytes() == want.tobytes()
+            assert _exact_estep(vals, counts, S, K)(q).tobytes() == want.tobytes()
 
     @staticmethod
     def _sequential_starts(profile, K, cfg, placements=False):
@@ -389,8 +388,8 @@ class TestEmPml:
             trace = []
             for _ in range(cfg.em_iterations):
                 trace.append(profile_probability(Distribution(q), profile))
-                estep = _placement_estep(*groups, K) if placements else _exact_estep(*groups, 1, K)
-                mass = estep[0](q[None])[0]
+                estep = _placement_estep(*groups, K)[0] if placements else _exact_estep(*groups, 1, K)
+                mass = estep(q[None])[0]
                 q = mass / mass.sum()
             dist = Distribution(q)
             trace.append(profile_probability(dist, profile))
@@ -449,12 +448,12 @@ class TestEmPml:
             q = np.stack([_tilted_uniform(K)] + ([_empirical_start(mults, K)] if K >= 2 else []))
             want = [q]
             for _ in range(cfg.em_iterations):
-                mass = _exact_estep(*groups, *q.shape)[0](q)
+                mass = _exact_estep(*groups, *q.shape)(q)
                 q = mass / mass.sum(axis=1, keepdims=True)
                 want.append(q)
             ends = [profile_probability(Distribution(row), prof) for row in q]
             best = ends.index(max(ends))
-            got = list(_em_run(prof, K, cfg)[0])
+            got = list(_em_run(prof, K, cfg))
             assert [g.tobytes() for g in got] == [w[best].tobytes() for w in want], (K, prof)
             dist, trace = em_pml_trace(prof, K, cfg)
             assert dist.as_array().tobytes() == Distribution(want[-1][best]).as_array().tobytes()
@@ -485,49 +484,17 @@ class TestEmPml:
                 want.append(q)
             ends = np.stack([Distribution(row).as_array() for row in q])
             best = int(np.argmax(_placement_estep(*groups, K)[1](ends)))
-            got = list(_em_run(prof, K, cfg)[0])
+            got = list(_em_run(prof, K, cfg))
             assert [g.tobytes() for g in got] == [w[best].tobytes() for w in want], (K, prof)
             dist, trace = em_pml_trace(prof, K, cfg)
             assert dist.as_array().tobytes() == Distribution(want[-1][best]).as_array().tobytes()
             assert trace == [profile_probability(Distribution(w[best]), prof) for w in want]
 
-    def test_scores_through_the_estep_pass_equal_a_pass_of_their_own(self):
-        # the exact EM scores its endpoints, and a trace its iterates,
-        # through the keep-all rows of the E-step's pass, S * (K + 1) rows
-        # to a run, fewer or more rows than that; a zero entry enters as
-        # -inf in both
-        rng = np.random.default_rng(29)
-        for _ in range(60):
-            K = int(rng.integers(1, 11))
-            prof = Profile.from_multiplicities(rng.integers(1, 6, int(rng.integers(1, min(K, 8) + 1))))
-            S = int(rng.integers(1, 3))
-            p = rng.dirichlet(np.ones(K), size=int(rng.integers(1, 3 * S * (K + 1))))
-            p[0, -1] = 0.0
-            _, dp = _exact_estep(*_multiplicity_groups(prof), S, K)
-            assert _profile_probabilities(p, prof, dp).tobytes() == _profile_probabilities(p, prof).tobytes()
-
-    def test_one_dynamic_program_pass_per_exact_run(self, monkeypatch):
-        made = []
-
-        class Counted(likelihood._MonomialPass):
-            def __init__(self, *args):
-                made.append(args)
-                super().__init__(*args)
-
-        monkeypatch.setattr(likelihood, "_MonomialPass", Counted)
-        monkeypatch.setattr(pml_em, "_MonomialPass", Counted)
-        monkeypatch.setattr(pml_em, "_PLACEMENT_LIMIT", 0)  # every run on the dynamic program
-        for prof, K in ((Profile({3: 1}), 1), (Profile({1: 2, 2: 1}), 6),
-                        (Profile.from_multiplicities(range(1, 9)), 10)):
-            for run in (em_pml, em_pml_trace):
-                made.clear()
-                run(prof, K)
-                assert len(made) == 1, (run, prof, K)
-
     def test_placement_runs_make_no_pass_and_their_traces_one(self, monkeypatch):
         # up to _PLACEMENT_LIMIT placements em_pml makes no dynamic-program
         # pass and em_pml_trace one, to score its iterates; one placement
-        # more than the limit and em_pml makes one pass too
+        # more than the limit and em_pml makes two, the E-step's and one to
+        # score the endpoints
         made = []
 
         class Counted(likelihood._MonomialPass):
@@ -546,7 +513,7 @@ class TestEmPml:
         monkeypatch.setattr(pml_em, "_PLACEMENT_LIMIT", _PLACEMENT_LIMIT - 1)
         made.clear()
         em_pml(at_limit, 10)
-        assert len(made) == 1
+        assert len(made) == 2
 
     def test_sampled_trace_ends_at_the_estimate(self):
         rng = random.Random(67)
@@ -565,7 +532,7 @@ class TestEmPml:
         # both E-step paths
         for prof, K in ((Profile({1: 3, 2: 1}), 6), (Profile({1: 9, 3: 2}), 14)):
             cfg = EmConfig(em_iterations=6, mcmc_sweeps_per_estep=4)
-            seen = [(q, q.copy()) for q in _em_run(prof, K, cfg)[0]]
+            seen = [(q, q.copy()) for q in _em_run(prof, K, cfg)]
             assert len(seen) == cfg.em_iterations + 1
             assert all(np.array_equal(q, c) for q, c in seen)
 
@@ -606,7 +573,7 @@ class TestEmPml:
             rng = np.random.default_rng(300 + i)
             mults = np.sort(rng.integers(1, 5, m))[::-1].astype(float)
             q = rng.dirichlet(np.ones(K))
-            want = _exact_estep(*np.unique(mults, return_counts=True), 1, K)[0](q[None])[0]
+            want = _exact_estep(*np.unique(mults, return_counts=True), 1, K)(q[None])[0]
             gen = np.random.Generator(np.random.SFC64(i))
             got = _mcmc_estep_mass(q, self._chains(mults, K, 1, gen), 20000, gen, 10)
             assert np.abs(got - want).max() <= 0.01 * mults.sum(), (m, K)
