@@ -219,15 +219,20 @@ class TestLogMonomialSums:
     def test_pass_matches_the_per_group_loop_bit_for_bit(self, instance):
         _check_pass(*instance)
 
+    @pytest.mark.parametrize("certain_first_point", [False, True])
     @pytest.mark.parametrize("points", [0, 1, 2])
-    def test_zero_one_and_two_points(self, points):
+    def test_zero_one_and_two_points(self, points, certain_first_point):
         # the first of two or more points is written directly, a lone
         # point goes through the update, and with none the pass returns the
-        # starting table
+        # starting table. A first point of probability one (log -0.0) makes
+        # the direct write differ from the update in the sign of a zero,
+        # which must not reach the returned cells.
         rng = np.random.default_rng(67)
         for mults in ([1], [2, 2], [1, 3, 3], [1, 2, 3, 4], [5, 5, 5, 1]):
             lp = np.log(rng.random((4, points)))
             lp[0, :1] = -np.inf
+            if certain_first_point:
+                lp[1, :1] = -0.0
             _check_pass(lp, np.asarray(mults))
 
     def test_profile_probability_matches_the_allocating_pass(self):
