@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable
@@ -105,45 +105,6 @@ class Distribution:
         return self._p
 
 
-class _Counts(Mapping):
-    """A read-only symbol -> multiplicity view of a :class:`Sample`'s two
-    arrays, in ascending symbol order, that gives Python ints."""
-
-    __slots__ = ("_symbols", "_mults")
-
-    def __init__(self, symbols: np.ndarray, mults: np.ndarray):
-        self._symbols = symbols
-        self._mults = mults
-
-    def __getitem__(self, symbol) -> int:
-        syms = self._symbols
-        # an integral float finds its symbol, as it hashes like that int
-        if isinstance(symbol, (float, np.floating)) and float(symbol).is_integer():
-            symbol = int(symbol)
-        if isinstance(symbol, (int, np.integer)) and 0 <= symbol < _INT64_END:
-            i = int(syms.searchsorted(symbol))
-            if i < syms.size and syms[i] == symbol:
-                return int(self._mults[i])
-        raise KeyError(symbol)
-
-    def __iter__(self):
-        return iter(self._symbols.tolist())
-
-    def __len__(self) -> int:
-        return self._symbols.size
-
-    def items(self):
-        return _CountItems(self)
-
-    def __repr__(self):
-        return f"Counts({dict(self.items())!r})"
-
-
-class _CountItems(ItemsView):
-    def __iter__(self):
-        return zip(self._mapping._symbols.tolist(), self._mapping._mults.tolist())
-
-
 def _below(mults: np.ndarray, bound) -> np.ndarray:
     """``mults < bound``, exact for any int or float bound: a float bound is
     compared as its ceiling, not with the multiplicities cast to float64."""
@@ -158,8 +119,11 @@ class Sample:
     The distinct symbols, ascending, and their multiplicities live in two
     read-only int64 arrays, ``symbols`` and ``mults`` (16 bytes per distinct
     symbol), so each lies in [0, 2**63); the size ``n`` is their exact sum,
-    a Python int that may pass 2**63. ``counts`` views the two arrays as a
-    symbol -> multiplicity mapping in ascending symbol order.
+    a Python int that may pass 2**63. ``counts`` is a read-only dict of
+    symbol -> multiplicity, Python ints in ascending symbol order, built from
+    the two arrays on each access in O(distinct): bind it once for many
+    lookups. It is a ``mappingproxy`` and does not pickle; ``dict(counts)``
+    does.
     """
 
     __slots__ = ("symbols", "mults", "n")
@@ -209,7 +173,7 @@ class Sample:
 
     @property
     def counts(self) -> Mapping[int, int]:
-        return _Counts(self.symbols, self.mults)
+        return MappingProxyType(dict(zip(self.symbols.tolist(), self.mults.tolist())))
 
     @property
     def distinct(self) -> int:

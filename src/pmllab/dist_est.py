@@ -46,10 +46,13 @@ def weighted_median(values, weights) -> float:
         raise ValueError("values and weights must be finite")
     if (w < 0).any():
         raise ValueError("weights must be non-negative")
-    if w.sum() <= 0.0:
+    top = w.max()
+    if top <= 0.0:
         raise ValueError("weights must not all be zero")
     order = np.argsort(v, kind="stable")
-    return _sorted_weighted_median(v[order], order, w)
+    # scaled exactly, by a power of two, to a largest weight in [1/2, 1):
+    # finite weights then cannot sum past the float range, and a tie stays
+    return _sorted_weighted_median(v[order], order, np.ldexp(w, -np.frexp(top)[1]))
 
 
 def _sorted_weighted_median(sorted_values, order, weights) -> float:

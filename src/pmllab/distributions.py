@@ -128,10 +128,10 @@ def make_geometric(k: int) -> Distribution:
     return _normalized([(1.0 - g) ** i for i in range(1, k + 1)])
 
 
-def make_zipf(k: int, s: float = 0.5) -> Distribution:
-    """p_i proportional to i^(-s), truncated at k and renormalized."""
+def make_zipf(k: int) -> Distribution:
+    """p_i proportional to i^(-1/2), truncated at k and renormalized."""
     k = _alphabet_size(k)
-    return _normalized([i ** (-s) for i in range(1, k + 1)])
+    return _normalized([i ** -0.5 for i in range(1, k + 1)])
 
 
 def make_log_series(k: int) -> Distribution:

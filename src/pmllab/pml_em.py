@@ -166,7 +166,7 @@ def estimate_support(sample: Sample) -> int:
         tail[i] = tail[i + 1] + pmf[i]
     est = 0.0
     for j, phi in profile_of(sample).prevalences.items():
-        if j <= trials and tail[j] > 0.0:
+        if j <= trials:
             weight = 1.0 - (-(t - 1.0)) ** j * tail[j]
         else:
             weight = 1.0
@@ -418,19 +418,15 @@ _UNIFORM_BLOCK_ENTRIES = 2**20
 
 
 def _em_exact(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig):
-    """EM with the exact E-step from the tilted uniform start and, when
-    K >= 2, the empirical one; the starts advance together, one E-step for
-    both per iteration. Up to _PLACEMENT_LIMIT placements the E-step is a
-    sum over them, which also scores the endpoints; above it, one pass of the
-    dynamic program, and the endpoints go to the profile likelihood. Returns
-    the iterates of the start whose endpoint is likelier (the first on a
-    tie)."""
+    """EM with the exact E-step from the tilted uniform start and the
+    empirical one; the starts advance together, one E-step for both per
+    iteration. Up to _PLACEMENT_LIMIT placements the E-step is a sum over
+    them, which also scores the endpoints; above it, one pass of the dynamic
+    program, and the endpoints go to the profile likelihood. Returns the
+    iterates of the start whose endpoint is likelier (the first on a tie)."""
     vals, counts = _multiplicity_groups(profile)
-    starts = [_tilted_uniform(K)]
-    if K >= 2:
-        # desk scale is cheap enough to certify both basins by likelihood
-        starts.append(_empirical_start(mults, K))
-    iterates = [np.stack(starts)]
+    # desk scale is cheap enough to certify both basins by likelihood
+    iterates = [np.stack([_tilted_uniform(K), _empirical_start(mults, K)])]
     if _placement_count(counts, K) <= _PLACEMENT_LIMIT:
         estep, score = _placement_estep(vals, counts, K)
     else:

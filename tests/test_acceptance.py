@@ -2,15 +2,17 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the lines as they
 complete. The whole suite is Monte Carlo at fixed seeds, so reruns are
-deterministic. Expect 12 to 14 seconds end to end on 2 vCPUs, where the
-bench grids of criteria 7-9 run their trials in two worker processes (17 to
-20 seconds with every trial in one process).
+deterministic. Criteria 7-9 run the bench grids of configs/desk_*.cfg.
+Expect 12 to 14 seconds end to end on 2 vCPUs, where those grids run their
+trials in two worker processes (17 to 20 seconds with every trial in one
+process).
 """
 
 import itertools
 import math
 import random
 from collections import Counter
+from pathlib import Path
 
 from pmllab import (
     Distribution,
@@ -32,6 +34,7 @@ from pmllab import (
 )
 from pmllab.bench import (
     ExperimentConfig,
+    parse_config,
     read_profile_file,
     read_pml_file,
     write_pml_file,
@@ -39,6 +42,13 @@ from pmllab.bench import (
     run_experiment,
 )
 from pmllab.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def desk_config(task: str) -> ExperimentConfig:
+    """The acceptance grid of ``task``, as configs/desk_<task>.cfg holds it."""
+    return parse_config((CONFIGS / f"desk_{task}.cfg").read_text())
 
 
 def report(number: int, description: str, passed: bool) -> None:
@@ -173,15 +183,7 @@ def test_criterion_6_sorted_l1_wasserstein_duality():
 
 
 def test_criterion_7_entropy_grid():
-    cfg = ExperimentConfig(
-        task="entropy",
-        distributions=("uniform", "zipf", "geometric"),
-        k=500,
-        n_grid=(2000, 10000, 50000),
-        trials=30,
-        seed=RngSeed(20240807),
-        estimators=("pml", "empirical", "empirical_nlogn"),
-    )
+    cfg = desk_config("entropy")
     rows = {(r.distribution, r.n, r.estimator): r.mean_error for r in run_experiment(cfg)}
     ok = True
     for dist_name in cfg.distributions:
@@ -195,15 +197,7 @@ def test_criterion_7_entropy_grid():
 
 
 def test_criterion_8_sorted_l1_grid():
-    cfg = ExperimentConfig(
-        task="sorted_l1",
-        distributions=("two_step", "log_series"),
-        k=500,
-        n_grid=(2000, 20000),
-        trials=30,
-        seed=RngSeed(20240808),
-        estimators=("pml", "empirical"),
-    )
+    cfg = desk_config("sorted_l1")
     rows = {(r.distribution, r.n, r.estimator): r.mean_error for r in run_experiment(cfg)}
     ok = True
     for dist_name in cfg.distributions:
@@ -213,18 +207,9 @@ def test_criterion_8_sorted_l1_grid():
 
 
 def test_criterion_9_uniformity_tester_rates():
-    k, eps = 2000, 0.4
-    n = math.ceil(8 * math.sqrt(k * math.log(k)) / eps**2)
-    cfg = ExperimentConfig(
-        task="uniformity",
-        distributions=("uniform", "two_step"),
-        k=k,
-        n_grid=(n,),
-        trials=100,
-        seed=RngSeed(20240809),
-        epsilon=eps,
-        estimators=("pml",),
-    )
+    cfg = desk_config("uniformity")
+    n = math.ceil(8 * math.sqrt(cfg.k * math.log(cfg.k)) / cfg.epsilon**2)
+    assert cfg.n_grid == (n,)
     rows = {r.distribution: r.mean_error for r in run_experiment(cfg)}
     false_reject = rows["uniform"]
     missed_detect = rows["two_step"]

@@ -3,6 +3,8 @@ import itertools
 import math
 import pickle
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -165,7 +167,7 @@ class TestSampleAndProfile:
             assert not arr.flags.writeable
         assert sample.symbols.tolist() == [0, 2, 7]
         assert sample.mults.tolist() == [3, 5, 1]
-        # the view walks the arrays in ascending symbol order, as Python ints
+        # a dict in ascending symbol order, of Python ints
         assert list(sample.counts.items()) == [(0, 3), (2, 5), (7, 1)]
         assert all(type(v) is int for pair in sample.counts.items() for v in pair)
         assert type(sample.counts[2]) is int
@@ -174,6 +176,12 @@ class TestSampleAndProfile:
         assert sample.counts[7.0] == 1
         assert sample.multiplicity(np.float64(2.0)) == 5
         assert sample.multiplicity(2.5) == 0
+        # a key that Sample() takes as a symbol finds that symbol
+        odd = Sample({Decimal(7): 2, np.True_: 3})
+        assert odd == Sample({1: 3, 7: 2})
+        for key, mult in ((Decimal(7), 2), (Fraction(14, 2), 2), (Fraction(7), 2), (np.True_, 3)):
+            assert odd.counts.get(key) == mult
+            assert odd.multiplicity(key) == mult
         for absent in (1, -1, 2**63, 2**80, "7", 2.5, 1.0, -0.5, 2.0**63, math.inf, math.nan):
             assert absent not in sample.counts
         with pytest.raises(TypeError):

@@ -35,6 +35,10 @@ class TestWeightedMedian:
 
     def test_tie_takes_lower(self):
         assert weighted_median([1, 2], [1, 1]) == 1.0
+        # finite weights whose total passes the float range
+        assert weighted_median([1, 2], [1e308, 1e308]) == 1.0
+        # cumulative weight 6 of 12: rescaling the weights keeps the tie
+        assert weighted_median([1, 2, 3, 4], [1, 5, 5, 1]) == 2.0
 
     def test_order_independent(self):
         assert weighted_median([3, 1, 2], [1, 1, 1]) == 2.0

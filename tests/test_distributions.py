@@ -42,7 +42,7 @@ class TestFamilies:
     def test_zipf_k2(self):
         inv_sqrt2 = 2 ** -0.5
         want = (1 / (1 + inv_sqrt2), inv_sqrt2 / (1 + inv_sqrt2))
-        assert make_zipf(2, 0.5).probs == pytest.approx(want, abs=1e-15)
+        assert make_zipf(2).probs == pytest.approx(want, abs=1e-15)
 
     def test_geometric_point(self):
         assert make_geometric(1).probs == (1.0,)
