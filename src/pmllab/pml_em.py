@@ -13,11 +13,11 @@ The EM treats the injective assignment of observed distinct symbols to
 output support points as the latent variable. The E-step is exact on small
 instances and Metropolis-sampled at scale. The exact path runs two starts,
 which advance together. Up to _PLACEMENT_LIMIT distinct placements of the
-multiset on the points, its E-step is one weighted sum over them, which
-also scores the endpoints; above it, the log-space dynamic program of the
-profile likelihood, over K + 1 rows per start (each support point left
-out, then none), in one pass run once per EM iteration; the profile
-likelihood scores the endpoints.
+multiset on the points, its E-step is one weighted sum over them; above
+it, one pass per iteration of the log-space dynamic program of the profile
+likelihood, over K + 1 rows per start (each point left out, then none).
+Neither form depends on the scale of an iterate, so the exact EM
+normalises its iterates once per run.
 Symbols of equal multiplicity are exchangeable, so the sampled E-step runs
 its chains on the multiplicity each support point holds: one block of
 pairwise content exchanges per sweep covers both symbol swaps and moves to
@@ -41,6 +41,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from types import MappingProxyType
 from typing import Mapping
 
@@ -57,9 +58,9 @@ _EXACT_K_LIMIT = 10
 #: An exact EM run over at most this many distinct placements of the
 #: multiset takes its E-step as a sum over them, and through the dynamic
 #: program above it. Timed as whole em_pml calls, the placements' build
-#: included, the sum won on every profile measured at 5,040 placements and
-#: lost on some from 7,560 on (BENCH_placement_estep.json).
-_PLACEMENT_LIMIT = 5040
+#: included, the sum won on every profile measured up to 10,080 placements
+#: and lost on some from 12,600 on (BENCH_one_normalisation.json).
+_PLACEMENT_LIMIT = 10_080
 
 #: Relative tilt of the starting point. An exactly uniform start is a fixed
 #: point of the update on symmetric profiles and never escapes, so the
@@ -175,9 +176,7 @@ def estimate_support(sample: Sample) -> int:
 
 
 def _tilted_uniform(K: int) -> np.ndarray:
-    if K == 1:
-        return np.ones(1)
-    tilt = 1.0 + _INIT_TILT * (np.arange(K - 1, -1, -1, dtype=float) / (K - 1))
+    tilt = 1.0 + _INIT_TILT * (np.arange(K - 1, -1, -1, dtype=float) / max(K - 1, 1))
     return tilt / tilt.sum()
 
 
@@ -198,30 +197,31 @@ def _empirical_start(mults: np.ndarray, K: int) -> np.ndarray:
 
 def _exact_estep(vals: np.ndarray, counts: np.ndarray, S: int, K: int):
     """The exact E-step for S starts over K points: ``mass`` maps the (S, K)
-    iterate to the expected multiplicity mass per support point.
+    iterate to the expected multiplicity mass per support point (into
+    ``out`` when given), whatever the scale of each row of the iterate.
 
     Point s hosts a symbol of multiplicity v with probability q_s^v times
     the monomial sum of the rest of the multiset over the other points,
-    divided by the monomial sum of the whole multiset over all points. One
-    pass of the dynamic program gives both for every start, over K + 1 rows
-    of log q per start: row s leaves point s out (log q_s = -inf) and the
-    last row keeps every point. ``vals`` and ``counts`` are the multiplicity
-    groups of the profile. The rows, their -inf diagonal and the program's
-    tables are made here, once; each call overwrites every cell it reads.
+    divided by the monomial sum of the whole multiset over all points; a
+    scale c of a row of q multiplies both by c^n. One pass of the dynamic
+    program gives both for every start, over K + 1 rows of log q per start:
+    row s leaves point s out (log q_s = -inf) and the last row keeps every
+    point. ``vals`` and ``counts`` are the multiplicity groups of the
+    profile. The rows, their -inf diagonal and the program's tables are
+    made here, once; each call overwrites every cell it reads.
     """
     dp = _MonomialPass(vals, counts, S * (K + 1))
     rows = np.full((S, K + 1, K), -np.inf)
     kept = ~np.eye(K + 1, K, dtype=bool)  # row s of each start drops point s
 
-    def mass(q: np.ndarray) -> np.ndarray:
+    def mass(q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         lq = np.log(np.maximum(q, _LOG_FLOOR))
         np.copyto(rows, lq[:, None, :], where=kept)
         full, short = dp.run(rows.reshape(S * (K + 1), K))
         full = full[K :: K + 1, None, None]
         short = short.reshape(S, K + 1, -1)[:, :K]
-        # einsum, not @: NumPy's own loop, where BLAS would pick its kernel,
-        # and with it the bits, by the CPU
-        return np.einsum("skg,g->sk", np.exp(vals * lq[..., None] + short - full), vals)
+        # einsum, not @, whose bits follow the BLAS kernel, picked by the CPU
+        return np.einsum("skg,g->sk", np.exp(vals * lq[..., None] + short - full), vals, out=out)
 
     return mass
 
@@ -248,33 +248,35 @@ def _placements(vals: np.ndarray, counts: np.ndarray, K: int) -> np.ndarray:
     return rows
 
 
-def _placement_estep(vals: np.ndarray, counts: np.ndarray, K: int):
+def _placement_estep(vals: np.ndarray, counts: np.ndarray, S: int, K: int):
     """The exact E-step as a weighted sum over the N placements of the
-    multiset, for any number of starts: ``mass`` maps an (S, K) iterate to
-    the expected multiplicity mass per point, as the dynamic program's
-    E-step does, and ``loglik`` gives each row's log monomial sum, the log
-    profile probability less a constant.
+    multiset, for S starts: ``mass`` maps an (S, K) iterate, at any scale
+    per row, to the expected multiplicity mass per point times a factor per
+    row (into ``out`` when given); ``loglik`` gives each row's log monomial
+    sum, the log profile probability less a constant.
 
-    Placement a has weight prod_s q_s^a_s, so with lw = log q . A^T, w =
-    exp(lw - max lw) and the mass is w . A / sum(w). The matrix is made
-    here, once, as (K, N), so both products run their inner loop over
-    contiguous placements; they are einsums, NumPy's own loops, because
-    BLAS picks its kernel, and with it the bits, by the CPU.
+    Placement a has weight prod_s q_s^a_s; with lw = log q . A^T and w =
+    exp(lw - max lw), the mass is w . A, undivided by sum(w), so its rows
+    sum to between n and N n. The matrix, as (K, N) so that both einsums
+    (not BLAS, as in _exact_estep) run over contiguous placements, and the
+    buffers are made here, once: an E-step is seven NumPy calls.
     """
     placed = np.ascontiguousarray(_placements(vals, counts, K).T)
+    lq, lw, top = np.empty((S, K)), np.empty((S, placed.shape[1])), np.empty((S, 1))
 
-    def logw(q: np.ndarray) -> np.ndarray:
-        return np.einsum("sk,kn->sn", np.log(np.maximum(q, _LOG_FLOOR)), placed)
+    def weights(q: np.ndarray) -> np.ndarray:  # w in lw, and max lw in top
+        np.maximum(q, _LOG_FLOOR, out=lq)
+        np.log(lq, out=lq)
+        np.einsum("sk,kn->sn", lq, placed, out=lw)
+        np.max(lw, axis=1, keepdims=True, out=top)
+        np.subtract(lw, top, out=lw)
+        return np.exp(lw, out=lw)
 
-    def mass(q: np.ndarray) -> np.ndarray:
-        lw = logw(q)
-        w = np.exp(lw - lw.max(axis=1, keepdims=True))
-        return np.einsum("sn,kn->sk", w, placed) / w.sum(axis=1, keepdims=True)
+    def mass(q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.einsum("sn,kn->sk", weights(q), placed, out=out)
 
     def loglik(q: np.ndarray) -> np.ndarray:
-        lw = logw(q)
-        top = lw.max(axis=1, keepdims=True)
-        return (top + np.log(np.exp(lw - top).sum(axis=1, keepdims=True)))[:, 0]
+        return (np.log(weights(q).sum(axis=1, keepdims=True)) + top)[:, 0]
 
     return mass, loglik
 
@@ -419,28 +421,25 @@ _UNIFORM_BLOCK_ENTRIES = 2**20
 
 def _em_exact(profile: Profile, mults: np.ndarray, K: int, cfg: EmConfig):
     """EM with the exact E-step from the tilted uniform start and the
-    empirical one; the starts advance together, one E-step for both per
-    iteration. Up to _PLACEMENT_LIMIT placements the E-step is a sum over
-    them, which also scores the endpoints; above it, one pass of the dynamic
-    program, and the endpoints go to the profile likelihood. Returns the
-    iterates of the start whose endpoint is likelier (the first on a tie)."""
+    empirical one, advancing together: one E-step for both per iteration,
+    on the last one's raw output, and every iterate normalised once, at the
+    end. On placements the E-step also scores the endpoints, on the dynamic
+    program the profile likelihood does. Returns the iterates of the start
+    whose endpoint is likelier (the first on a tie)."""
     vals, counts = _multiplicity_groups(profile)
+    iterates = np.empty((cfg.em_iterations + 1, 2, K))
     # desk scale is cheap enough to certify both basins by likelihood
-    iterates = [np.stack([_tilted_uniform(K), _empirical_start(mults, K)])]
+    iterates[0] = _tilted_uniform(K), _empirical_start(mults, K)
     if _placement_count(counts, K) <= _PLACEMENT_LIMIT:
-        estep, score = _placement_estep(vals, counts, K)
+        estep, score = _placement_estep(vals, counts, 2, K)
     else:
-        estep = _exact_estep(vals, counts, *iterates[0].shape)
-
-        def score(ends: np.ndarray) -> np.ndarray:
-            return _profile_probabilities(ends, profile)
-
-    for _ in range(cfg.em_iterations):
-        mass = estep(iterates[-1])
-        iterates.append(mass / mass.sum(axis=1, keepdims=True))
-    ends = np.stack([Distribution(q).as_array() for q in iterates[-1]])
-    best = int(np.argmax(score(ends)))  # the first start on a tie
-    return [q[best] for q in iterates]
+        estep = _exact_estep(vals, counts, 2, K)
+        score = partial(_profile_probabilities, profile=profile)
+    for t in range(cfg.em_iterations):
+        estep(iterates[t], out=iterates[t + 1])
+    iterates[1:] /= iterates[1:].sum(axis=2, keepdims=True)
+    best = int(np.argmax(score(iterates[-1])))  # the first start on a tie
+    return list(iterates[:, best])
 
 
 def _chain_count(K: int, sweeps: int) -> int:

@@ -90,11 +90,11 @@ _DIGESTS = {
         "approximate_pml_one_chain": "e4033f901940e5b727182aeb6daf800171966921f8119d9768a16d0655e90a5a",
         "desk_grid_csv": "2d081ac5927a9c1ad754e08a76c98147321e3e1ecdd6052b8b79979fdcfe3840",
         "draw_sample": "51420824753c803c0a122a34c22224d35b226918c8bdc53924f92c0179627cbf",
-        "em_pml_exact": "eecd9f210aa962f0bd506d0251e642fa7648b0f6bd28aa0c838408f2d9aa457b",
-        "em_pml_exact_dp": "238e935e3a54138204b283b8e5e140c7b9073b0e4bed8c51f3508fbc58d32225",
-        "em_pml_exact_tie": "100fbdbf94961f94b6bcd8a29a778d21935c2102583095940a635ffa2e32b8c5",
-        "em_pml_trace_exact": "6b96e0a807a336a0b0d64a9f765b162dfc3bc9decd6690e4a2b2ff2bb363b2c6",
-        "em_pml_trace_exact_dp": "d3f8ec6a77ba87ac6e27d38cb6667daad2cb9f25421d1c063b2ef27244563a73",
+        "em_pml_exact": "4197103ced3abdff4101557f1434fb90259e41dcbd565f992b94335dd423e3fe",
+        "em_pml_exact_dp": "e6117845125c05d004bbef4a60ceeae7e76c3ab1db72cf2992dae6be6a8b4779",
+        "em_pml_exact_tie": "c576a93e2a380dbfece730b8f057f1f4a44cafc0f20e44ac41323f0d0f2d2411",
+        "em_pml_trace_exact": "798e8af8e6ab4e7aea69b5e44c95bfc5d99d63814384bf055bd777d4cf3743d8",
+        "em_pml_trace_exact_dp": "85f01071ec0210f0882dd7900c3d3de57270e2e6e3b01d073b84bed62cb055d9",
         "estimate_unsorted_l1": "04a3203ced256c92bb5beb10cc9ede31ebbbeb6ef9d021291680cccee2299e58",
         "plug_in_renyi": "3346cd14a25df02b086b769322eefcaa82fbee1ab23a035d94ba5fda12d44f6a",
         "tpml_distribution": "6f029a594593c77ba97afa7fb9ac48de2d45c35b93a02cd87b14ef8abebd6cf0",

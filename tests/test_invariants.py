@@ -47,7 +47,8 @@ from pmllab.core import PROB_TOL
 from pmllab.dist_est import ESTIMATORS
 from pmllab.distributions import FAMILIES
 from pmllab.properties import PROPERTY_TAGS, _checked_param
-from pmllab.pml_em import _mcmc_estep_mass
+from pmllab.likelihood import _multiplicity_groups
+from pmllab.pml_em import _PLACEMENT_LIMIT, _exact_estep, _mcmc_estep_mass, _placement_count, _placement_estep
 
 _examples = settings(max_examples=50, deadline=None, derandomize=True)
 
@@ -213,6 +214,34 @@ def test_exact_em_likelihood_never_decreases(instance, iterations):
     profile, K = instance
     _, trace = em_pml_trace(profile, K, EmConfig(em_iterations=iterations))
     assert all(b >= a * (1 - 1e-12) for a, b in zip(trace, trace[1:])), trace
+
+
+@st.composite
+def _scaled_iterate(draw):
+    """An exact E-step's profile and K, an iterate of two rows with entries
+    in [0.01, 1], and a scale for each row, from 2^-40 to 2^40."""
+    profile, K = draw(_exact_em_instance())
+    rows = st.lists(st.floats(0.01, 1.0), min_size=K, max_size=K)
+    q = np.array([draw(rows), draw(rows)])
+    scale = 2.0 ** np.array(draw(st.lists(st.floats(-40.0, 40.0), min_size=2, max_size=2)))
+    return profile, K, q, scale[:, None]
+
+
+@_examples
+@given(instance=_scaled_iterate())
+def test_exact_esteps_ignore_the_scale_of_the_iterate(instance):
+    # The exact EM runs each E-step on the last one's raw output and
+    # normalises once per run, which holds because each row of mass(c q) is
+    # the same row of mass(q) times one factor, on both forms
+    profile, K, q, scale = instance
+    vals, counts = _multiplicity_groups(profile)
+    forms = [_exact_estep(vals, counts, *q.shape)]
+    if _placement_count(counts, K) <= _PLACEMENT_LIMIT:
+        forms.append(_placement_estep(vals, counts, *q.shape)[0])
+    for mass in forms:
+        plain, scaled = mass(q), mass(scale * q)
+        factor = scaled.sum(axis=1, keepdims=True) / plain.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(scaled, plain * factor, rtol=1e-12, atol=0)
 
 
 #: With counts up to 60, most samples have symbols past the frequent-symbol

@@ -312,15 +312,17 @@ class TestEmPml:
                 for _ in range(2):
                     m = int(rng.integers(1, min(K, 4) + 1))
                     cases.append((np.sort(rng.integers(1, 6, m))[::-1].astype(float), K, S))
-        at_limit = [(np.arange(4.0, 0.0, -1.0), 10, 2), (np.arange(6.0, 0.0, -1.0), 7, 1)]
+        at_limit = [(np.array([5.0, 4, 3, 2, 2, 1]), 8, 2), (np.array([4.0, 3, 2, 1, 1, 1]), 9, 1)]
         for mults, K, _ in at_limit:
             assert _placement_count(np.unique(mults, return_counts=True)[1], K) == _PLACEMENT_LIMIT
         for mults, K, S in cases + at_limit:
             groups = np.unique(mults, return_counts=True)
             q = rng.dirichlet(np.ones(K), size=S)
             q[0, -1] = 1e-320
-            got = _placement_estep(*groups, K)[0](q)
+            got = _placement_estep(*groups, S, K)[0](q)
             assert got.shape == q.shape
+            # the sum leaves each row undivided by its total weight
+            got *= mults.sum() / got.sum(axis=1, keepdims=True)
             np.testing.assert_allclose(got, _exact_estep(*groups, S, K)(q), rtol=1e-12, atol=0)
             for row_got, row in zip(got, q):
                 np.testing.assert_allclose(row_got, self._permutation_oracle(mults, row), rtol=1e-12, atol=0)
@@ -377,25 +379,28 @@ class TestEmPml:
     @staticmethod
     def _sequential_starts(profile, K, cfg, placements=False):
         """The exact path with each start run to the end before the next, as
-        a reference for the starts advancing together: on the dynamic
-        program, whose endpoints are scored by their profile probability, or
-        on placements, whose endpoints are scored by their log sums."""
+        a reference for the starts advancing together: each E-step on the
+        last one's raw output, every iterate normalised at the end. On the
+        dynamic program the endpoints are scored by their profile
+        probability, on placements by their log sums."""
         mults = np.asarray(profile.multiplicities(), dtype=float)
         groups = np.unique(mults, return_counts=True)
         starts = [_tilted_uniform(K)] + ([_empirical_start(mults, K)] if K >= 2 else [])
         best = None
         for q in starts:
-            trace = []
+            raw = [q]
             for _ in range(cfg.em_iterations):
-                trace.append(profile_probability(Distribution(q), profile))
-                estep = _placement_estep(*groups, K)[0] if placements else _exact_estep(*groups, 1, K)
-                mass = estep(q[None])[0]
-                q = mass / mass.sum()
-            dist = Distribution(q)
-            trace.append(profile_probability(dist, profile))
-            score = _placement_estep(*groups, K)[1](dist.as_array()[None])[0] if placements else trace[-1]
+                estep = _placement_estep(*groups, 1, K)[0] if placements else _exact_estep(*groups, 1, K)
+                raw.append(estep(raw[-1][None])[0])
+            iterates = [q] + [mass / mass.sum() for mass in raw[1:]]
+            end = iterates[-1][None]
+            if placements:
+                score = _placement_estep(*groups, 1, K)[1](end)[0]
+            else:
+                score = likelihood._profile_probabilities(end, profile)[0]
             if best is None or score > best[0]:
-                best = (score, dist, trace)
+                trace = [profile_probability(Distribution(q), profile) for q in iterates]
+                best = (score, Distribution(iterates[-1]), trace)
         return best[1], best[2]
 
     def test_starts_advancing_together_match_sequential_starts(self, monkeypatch):
@@ -448,11 +453,9 @@ class TestEmPml:
             q = np.stack([_tilted_uniform(K)] + ([_empirical_start(mults, K)] if K >= 2 else []))
             want = [q]
             for _ in range(cfg.em_iterations):
-                mass = _exact_estep(*groups, *q.shape)(q)
-                q = mass / mass.sum(axis=1, keepdims=True)
-                want.append(q)
-            ends = [profile_probability(Distribution(row), prof) for row in q]
-            best = ends.index(max(ends))
+                want.append(_exact_estep(*groups, *q.shape)(want[-1]))
+            want[1:] = [mass / mass.sum(axis=1, keepdims=True) for mass in want[1:]]
+            best = int(np.argmax(likelihood._profile_probabilities(want[-1], prof)))
             got = list(_em_run(prof, K, cfg))
             assert [g.tobytes() for g in got] == [w[best].tobytes() for w in want], (K, prof)
             dist, trace = em_pml_trace(prof, K, cfg)
@@ -479,16 +482,62 @@ class TestEmPml:
             q = np.stack([_tilted_uniform(K)] + ([_empirical_start(mults, K)] if K >= 2 else []))
             want = [q]
             for _ in range(cfg.em_iterations):
-                mass = _placement_estep(*groups, K)[0](q)
-                q = mass / mass.sum(axis=1, keepdims=True)
-                want.append(q)
-            ends = np.stack([Distribution(row).as_array() for row in q])
-            best = int(np.argmax(_placement_estep(*groups, K)[1](ends)))
+                want.append(_placement_estep(*groups, *q.shape)[0](want[-1]))
+            want[1:] = [mass / mass.sum(axis=1, keepdims=True) for mass in want[1:]]
+            best = int(np.argmax(_placement_estep(*groups, *q.shape)[1](want[-1])))
             got = list(_em_run(prof, K, cfg))
             assert [g.tobytes() for g in got] == [w[best].tobytes() for w in want], (K, prof)
             dist, trace = em_pml_trace(prof, K, cfg)
             assert dist.as_array().tobytes() == Distribution(want[-1][best]).as_array().tobytes()
             assert trace == [profile_probability(Distribution(w[best]), prof) for w in want]
+
+    @staticmethod
+    def _normalising_loop(profile, K, cfg):
+        """The exact EM with every iterate divided by its sum before the next
+        E-step: the (iterations + 1, 2, K) iterates of both starts, and the
+        scores of their endpoints."""
+        mults = np.asarray(profile.multiplicities(), dtype=float)
+        groups = _multiplicity_groups(profile)
+        q = np.stack([_tilted_uniform(K), _empirical_start(mults, K)])
+        if _placement_count(groups[1], K) <= pml_em._PLACEMENT_LIMIT:
+            estep, score = _placement_estep(*groups, *q.shape)
+        else:
+            estep = _exact_estep(*groups, *q.shape)
+
+            def score(ends):
+                return likelihood._profile_probabilities(ends, profile)
+
+        iterates = [q]
+        for _ in range(cfg.em_iterations):
+            mass = estep(q)
+            q = mass / mass.sum(axis=1, keepdims=True)
+            iterates.append(q)
+        return np.stack(iterates), score(q)
+
+    @pytest.mark.parametrize("placements", [True, False], ids=["placements", "dp"])
+    def test_one_normalisation_per_run_matches_the_normalising_loop(self, monkeypatch, placements):
+        # 60 profiles per E-step form, multiplicities up to 10^5. The run
+        # returns the iterates of one start, its first iterate: they must be
+        # that start's iterates under the normalising loop, and its endpoint
+        # must score as high there to a relative 1e-9: both starts often
+        # reach the same point, whose two scores then differ by rounding.
+        if not placements:
+            monkeypatch.setattr(pml_em, "_PLACEMENT_LIMIT", 0)
+        rng = random.Random(79 if placements else 83)
+        done = 0
+        while done < 60:
+            K = rng.randint(1, 10)
+            mults = [rng.randint(1, 10 ** rng.randint(0, 5)) for _ in range(rng.randint(1, min(K, 8)))]
+            prof = Profile.from_multiplicities(mults)
+            if placements and _placement_count(_multiplicity_groups(prof)[1], K) > _PLACEMENT_LIMIT:
+                continue
+            done += 1
+            cfg = EmConfig(em_iterations=rng.randint(1, 30))
+            want, scores = self._normalising_loop(prof, K, cfg)
+            got = np.stack(list(_em_run(prof, K, cfg)))
+            start = [got[0].tobytes() == w.tobytes() for w in want[0]].index(True)
+            np.testing.assert_allclose(got, want[:, start], rtol=0, atol=1e-9, err_msg=f"{mults} K={K}")
+            assert math.isclose(scores[start], scores.max(), rel_tol=1e-9), (mults, K, scores)
 
     def test_placement_runs_make_no_pass_and_their_traces_one(self, monkeypatch):
         # up to _PLACEMENT_LIMIT placements em_pml makes no dynamic-program
@@ -504,15 +553,15 @@ class TestEmPml:
 
         monkeypatch.setattr(likelihood, "_MonomialPass", Counted)
         monkeypatch.setattr(pml_em, "_MonomialPass", Counted)
-        at_limit = Profile.from_multiplicities([4, 3, 2, 1])  # 5,040 placements on 10 points
-        for prof, K in ((Profile({3: 1}), 1), (Profile({1: 2, 2: 1}), 6), (at_limit, 10)):
+        at_limit = Profile.from_multiplicities([5, 4, 3, 2, 2, 1])  # 10,080 placements on 8 points
+        for prof, K in ((Profile({3: 1}), 1), (Profile({1: 2, 2: 1}), 6), (at_limit, 8)):
             for run, passes in ((em_pml, 0), (em_pml_trace, 1)):
                 made.clear()
                 run(prof, K)
                 assert len(made) == passes, (run, prof, K)
         monkeypatch.setattr(pml_em, "_PLACEMENT_LIMIT", _PLACEMENT_LIMIT - 1)
         made.clear()
-        em_pml(at_limit, 10)
+        em_pml(at_limit, 8)
         assert len(made) == 2
 
     def test_sampled_trace_ends_at_the_estimate(self):
